@@ -136,6 +136,20 @@ def _trim_reference(ext: list[int], r: np.ndarray, size: int) -> list[int]:
     return ext
 
 
+def _cycle(seen: dict, levels: list[float], new_ref, what: str) -> str | None:
+    """If new_ref was the reference at step seen[new_ref], a message naming
+    the cycle's period, its start and the range of `what` (levels[i] at
+    step i) over it; else None.  The next reference is a function of the
+    current one alone, so a repeated reference means the exchange cycles
+    for good."""
+    start = seen.get(tuple(new_ref))
+    if start is None:
+        return None
+    cyc = levels[start:]
+    return (f"exchange fell into a {len(cyc)}-cycle of references at step "
+            f"{start} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
+
+
 def _single_exchange(ref: list[int], r: np.ndarray) -> list[int]:
     """Classical one-point exchange: swap the global argmax of |r| into the
     reference so that residual signs keep alternating.  In exact arithmetic
@@ -217,8 +231,6 @@ def best_uniform_approx(
     b = np.zeros(m)
     r = f.copy()
     err = float(np.max(np.abs(r)))
-    # The next reference is a function of the current one alone, so a
-    # reference seen before means the exchange cycles for good.
     seen: dict[tuple[int, ...], int] = {}
     levels: list[float] = []
     failure = None
@@ -257,14 +269,8 @@ def best_uniform_approx(
             new_ref = _single_exchange(ref, r)
         if new_ref == ref:
             break
-        start = seen.get(tuple(new_ref))
-        if start is not None:
-            cyc = levels[start:]
-            failure = (
-                f"exchange fell into a {len(cyc)}-cycle of references at "
-                f"step {start} (leveled error between {min(cyc):.3g} and "
-                f"{max(cyc):.3g})"
-            )
+        failure = _cycle(seen, levels, new_ref, "leveled error")
+        if failure is not None:
             break
         ref = new_ref
     else:
@@ -355,7 +361,8 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
     sup-norm 1.  Found by Remez-style exchange in Q coordinates.
 
     Returns (b, ref): coordinates with max |Q b| = 1 (within tol) and the
-    alternation indices.
+    alternation indices.  Raises ConvergenceError when a reference repeats
+    or after max_iter steps.
     """
     N, m = Q.shape
     ref = sorted(set(np.linspace(0, N - 1, m).round().astype(int)))
@@ -365,13 +372,17 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
         ref = sorted(ref)
     sigma = np.array([(-1.0) ** i for i in range(m)])
     b = None
-    for _ in range(max_iter):
+    seen: dict[tuple[int, ...], int] = {}
+    sups: list[float] = []
+    for step in range(max_iter):
+        seen[tuple(ref)] = step
         try:
             b = np.linalg.solve(Q[ref], sigma)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular reference system") from exc
         vals = Q @ b
         M = float(np.max(np.abs(vals)))
+        sups.append(M)
         if M <= 1.0 + tol:
             return b, ref
         ext = _alternating_extrema(vals)
@@ -380,6 +391,9 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
         new_ref = _trim_reference(ext, vals, m)
         if new_ref == ref:
             break
+        cycle = _cycle(seen, sups, new_ref, "M")
+        if cycle is not None:
+            raise ConvergenceError(f"set-Chebyshev {cycle}")
         ref = new_ref
     else:
         raise ConvergenceError(
@@ -421,12 +435,16 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
             ref.append(pool[0])
             ref = sorted(ref)
         a = None
-        for _ in range(max_iter):
+        seen: dict[tuple[int, ...], int] = {}
+        sups: list[float] = []
+        for step in range(max_iter):
+            seen[tuple(ref)] = step
             A = mp.matrix([B[i] for i in ref])
             a = mp.lu_solve(A, mp.matrix(sigma))
             vals_mp = [mp.fsum(B[i][j] * a[j] for j in range(m))
                        for i in range(N)]
             M = max(abs(v) for v in vals_mp)
+            sups.append(float(M))
             if M <= 1 + mp.mpf(tol):
                 break
             vals = np.array([float(v) for v in vals_mp])
@@ -436,6 +454,9 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
             new_ref = _trim_reference(ext, vals, m)
             if new_ref == ref:
                 break
+            cycle = _cycle(seen, sups, new_ref, "M")
+            if cycle is not None:
+                raise ConvergenceError(f"set-Chebyshev (mp) {cycle}")
             ref = new_ref
         else:
             raise ConvergenceError(
@@ -499,22 +520,26 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
             vals, mp_coeffs, _ = _set_chebyshev_mp(x, exps, out_ys)
             mp_results = dict(zip(out_ys, vals))
 
+    def extremal(coeffs, on_grid):
+        p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
+        return p, tuple(x[np.abs(on_grid) >= 1.0 - 1e-7].tolist())
+
+    if mp_results is not None:
+        shared = extremal(mp_coeffs, basis_matrix(x, exps) @ np.asarray(mp_coeffs))
+    elif cheb_b is not None:
+        shared = extremal(np.linalg.solve(R, cheb_b), Q @ cheb_b)
+
     out = []
     for i, y in enumerate(ys):
         q = Qall[len(x) + i]
-        if outside[i] and mp_results is not None:
-            coeffs = mp_coeffs
-            value = mp_results[y]
-            p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
-            on_grid = basis_matrix(x, exps) @ np.asarray(coeffs)
+        if outside[i]:
+            p, active = shared
+            value = mp_results[y] if mp_results is not None \
+                else abs(float(q @ cheb_b))
         else:
-            b = cheb_b if outside[i] else _growth_lp(Q, q)
-            coeffs = np.linalg.solve(R, b)
+            b = _growth_lp(Q, q)
+            p, active = extremal(np.linalg.solve(R, b), Q @ b)
             value = abs(float(q @ b))
-            p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
-            on_grid = Q @ b
-        active = tuple(float(xi) for xi, v in zip(x, np.abs(on_grid))
-                       if v >= 1.0 - 1e-7)
         out.append(GrowthResult(
             value=value,
             extremal=p,

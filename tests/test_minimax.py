@@ -341,6 +341,26 @@ def test_growth_sweep_survives_cycling_double_exchange():
     assert sweep[0].value == pytest.approx(chebyshev_T(12, 7.0), rel=1e-2)
 
 
+def test_set_chebyshev_names_its_cycle_early(monkeypatch):
+    # The same sweep's double exchange enters a 4-cycle of references; it
+    # must be caught on its first repeat, not after MAX_EXCHANGES steps.
+    x = discretize(normalize([[0.75, 1.0]]), 1e-3).as_array()
+    ys = np.linspace(0.0, 0.5, 33)
+    Qall, _ = orthonormalize(basis_matrix(np.concatenate([x, ys]), range(13)))
+    Q = Qall[: len(x)]
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    with pytest.raises(ConvergenceError, match=r"4-cycle of references"):
+        minimax._set_chebyshev(Q, tol=1e-10)
+    assert len(solves) < 25
+
+
 # ------------------------------------------------------- general minimax LP
 
 

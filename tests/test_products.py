@@ -1,10 +1,14 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+import muntzlab.products as products
 from muntzlab.errors import ConfigError
 from muntzlab.exponents import arithmetic, explicit, squares, truncate
-from muntzlab.minimax import best_uniform_approx
-from muntzlab.muntzeval import MuntzPolynomial
+from muntzlab.minimax import best_uniform_approx, discrete_minimax_lp
+from muntzlab.muntzeval import MuntzPolynomial, basis_matrix
 from muntzlab.products import (
     ProductPolynomial,
     ProductSpaceSpec,
@@ -224,3 +228,137 @@ def test_search_validation():
 
 def test_spec_k():
     assert ProductSpaceSpec((squares(), squares(), explicit([0.0, 2.0]))).k == 3
+
+
+# ------------------------------------------------- search without LP reuse
+
+
+def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
+    """The search loop with every LP solved afresh: the oracle for the
+    LP reuse in product_approx_search."""
+    V = [basis_matrix(x, truncate(seq, n)) for seq in spec.sequences]
+    dims = [v.shape[1] for v in V]
+    rng = np.random.default_rng([seed, 777])
+
+    best_by_round = [math.inf] * rounds
+    best_err = math.inf
+    best_coeffs = None
+    for restart in range(restarts):
+        coeffs = []
+        for j in range(spec.k):
+            c = np.zeros(dims[j])
+            c[0] = 1.0
+            if restart > 0:
+                c = c + 0.5 * rng.standard_normal(dims[j])
+            coeffs.append(c)
+        F = [V[j] @ coeffs[j] for j in range(spec.k)]
+        cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
+        for t in range(rounds):
+            for j in range(spec.k):
+                g = np.prod([F[i] for i in range(spec.k) if i != j], axis=0) \
+                    if spec.k > 1 else np.ones_like(x)
+                if not np.any(g):
+                    # dead product: perturb this factor's complement
+                    for i in range(spec.k):
+                        if i != j:
+                            coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
+                            F[i] = V[i] @ coeffs[i]
+                    continue
+                B = g[:, None] * V[j]
+                c_new, err = discrete_minimax_lp(B, f)
+                if err <= cur:
+                    coeffs[j] = c_new
+                    F[j] = V[j] @ c_new
+                    cur = err
+            if cur < best_by_round[t]:
+                best_by_round[t] = cur
+            if cur < best_err:
+                best_err = cur
+                best_coeffs = [c.copy() for c in coeffs]
+        # a later restart must not raise the recorded floor of earlier rounds
+        for t in range(1, rounds):
+            best_by_round[t] = min(best_by_round[t], best_by_round[t - 1])
+    return best_by_round, best_coeffs
+
+
+def assert_same_bits(rep, oracle):
+    best_by_round, best_coeffs = oracle
+    assert np.array(rep.best_error_by_round).tobytes() == \
+        np.array(best_by_round).tobytes()
+    assert len(rep.best.factors) == len(best_coeffs)
+    for p, c in zip(rep.best.factors, best_coeffs):
+        assert np.array(p.coefficients).tobytes() == c.tobytes()
+
+
+def counting_lp(monkeypatch, module):
+    """Record the (B, f) bytes of every LP that `module` solves."""
+    calls = []
+    real = module.discrete_minimax_lp
+
+    def lp(B, f):
+        calls.append(B.tobytes() + f.tobytes())
+        return real(B, f)
+
+    monkeypatch.setattr(module, "discrete_minimax_lp", lp)
+    return calls
+
+
+def test_search_reuses_lps_on_criterion_8(monkeypatch):
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 256)
+    x = g.as_array()
+    f = np.abs(2 * x - 1)
+    spec = ProductSpaceSpec(tuple(squares() for _ in range(4)))
+    args = dict(n=6, rounds=20, seed=0, restarts=5)
+    calls = counting_lp(monkeypatch, products)
+    rep = product_approx_search(f, g, spec, **args)
+    oracle_calls = counting_lp(monkeypatch, sys.modules[__name__])
+    oracle = plain_coordinate_descent(f, x, spec, **args)
+    assert_same_bits(rep, oracle)
+    assert rep.best_error_by_round[-1] == 5.634587149095272e-2
+    # no dead product here, so oracle LP i is restart i // 80, factor i % 4;
+    # the search solves exactly the LPs whose input is new to that factor
+    # in that restart
+    assert len(oracle_calls) == 400
+    new = []
+    seen = set()
+    for i, key in enumerate(oracle_calls):
+        if (i // 80, i % 4, key) not in seen:
+            seen.add((i // 80, i % 4, key))
+            new.append(key)
+    assert calls == new
+    assert len(calls) == 100
+
+
+def test_search_k1_matches_plain_descent_with_one_lp_per_restart(monkeypatch):
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 64)
+    x = g.as_array()
+    f = np.abs(2 * x - 1)
+    spec = ProductSpaceSpec((arithmetic(1.0),))
+    args = dict(n=3, rounds=4, seed=0, restarts=3)
+    calls = counting_lp(monkeypatch, products)
+    rep = product_approx_search(f, g, spec, **args)
+    assert len(calls) == 3
+    assert_same_bits(rep, plain_coordinate_descent(f, x, spec, **args))
+
+
+@pytest.mark.parametrize("k, target, n", [
+    (2, "zero", 3),
+    (3, "zero", 3),
+    (3, "cheb3", 2),
+])
+def test_search_matches_plain_descent_through_dead_products(monkeypatch, k,
+                                                            target, n):
+    # f = 0 drives factors to 0, and so does T_3(2x - 1), whose best
+    # approximation from span{1, x, x^4} is 0; products of the others then
+    # vanish and the dead-product perturbation fires.  The T_3 case also
+    # needs the perturbed factors' versions to rise.
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 64)
+    x = g.as_array()
+    f = np.zeros_like(x) if target == "zero" else np.cos(3 * np.arccos(2 * x - 1))
+    spec = ProductSpaceSpec(tuple(squares() for _ in range(k)))
+    args = dict(n=n, rounds=6, seed=0, restarts=3)
+    rep = product_approx_search(f, g, spec, **args)
+    oracle_calls = counting_lp(monkeypatch, sys.modules[__name__])
+    oracle = plain_coordinate_descent(f, x, spec, **args)
+    assert len(oracle_calls) < k * args["rounds"] * args["restarts"]
+    assert_same_bits(rep, oracle)
