@@ -4,9 +4,6 @@ Usage: muntzlab <subcommand> --config <file.json> [--out <file.csv>] [--seed N]
 
 Subcommands: classical, remez-constant, density, products, cantor.
 Exit codes: 0 ok, 2 config error, 3 numeric/solver failure, 4 I/O failure.
-MUNTZLAB_THREADS caps worker threads for sweep parallelism (default 1);
-output is sorted on key columns before writing, so the thread count never
-changes the bytes produced.
 """
 
 from __future__ import annotations
@@ -14,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,37 +43,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _threads() -> int:
-    raw = os.environ.get("MUNTZLAB_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MUNTZLAB_THREADS must be an integer, got {raw!r}") from exc
-    if t < 1:
-        raise ConfigError("MUNTZLAB_THREADS must be >= 1")
-    return t
-
-
-def _map(fn, items):
-    t = _threads()
-    if t == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_classical(cfg: dict, seed: int):
     _require(cfg, {"n_list", "s_list", "mesh"})
     mesh = float(cfg["mesh"])
     header = ["n", "s", "mesh", "computed", "predicted", "relative_error"]
     jobs = [(int(n), float(s)) for n in cfg["n_list"] for s in cfg["s_list"]]
 
-    def one(job):
-        n, s = job
+    def one(n, s):
         rep = remezlab.verify_classical_extremal(n, s, mesh)
         return [n, s, mesh, rep.computed, rep.predicted, rep.relative_error]
 
-    return header, _map(one, jobs), mesh
+    return header, [one(n, s) for n, s in jobs], mesh
 
 
 def run_remez_constant(cfg: dict, seed: int):
@@ -96,7 +71,7 @@ def run_remez_constant(cfg: dict, seed: int):
         return [n, s, rho, est.attaining_set, est.attaining_query, mesh,
                 est.c_value]
 
-    return header, _map(one, list(range(int(cfg["n_max"]) + 1))), mesh
+    return header, [one(n) for n in range(int(cfg["n_max"]) + 1)], mesh
 
 
 def run_density(cfg: dict, seed: int):
@@ -112,9 +87,8 @@ def run_density(cfg: dict, seed: int):
 
 def run_cantor(cfg: dict, seed: int):
     _require(cfg, {"level"}, {"carrier"})
-    carrier = tuple(cfg.get("carrier", (0.0, 1.0)))
     K = int(cfg["level"])
-    A = fat_cantor(K, carrier)
+    A = fat_cantor(K, cfg.get("carrier", (0.0, 1.0)))
     header = ["level", "intervals", "measure", "essential_supremum"]
     from muntzlab.sets import essential_supremum
 
@@ -178,6 +152,8 @@ def run_products(cfg: dict, seed: int):
         from muntzlab.sets import normalize
 
         npts = int(cfg["grid_points"])
+        if npts < 2:
+            raise ConfigError("grid_points must be >= 2")
         grid = discretize(normalize([[0.0, 1.0]]), 1.0 / (npts - 1))
         rows = []
         for n in cfg["n_list"]:

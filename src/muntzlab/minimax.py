@@ -5,8 +5,13 @@ Two solvers share one orthonormalization front end:
 * best_uniform_approx - discrete Remez exchange on a grid, returning an
   equioscillation certificate (alternating reference points plus a
   de-la-Vallee-Poussin lower bound).
-* growth_functional   - the extremal-growth linear program
-  sup { |p(y)| : |p| <= 1 on the constraint grid }, solved as a dense LP.
+* growth_functional   - the extremal growth
+  sup { |p(y)| : |p| <= 1 on the constraint grid }: exchange for the
+  set-Chebyshev element outside the constraint hull, LP inside.
+
+Every exchange (best approximation, set-Chebyshev in double and in 60-digit
+arithmetic) runs in the one loop _exchange; the solvers supply only the
+reference solve and the choice of the next reference.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -136,26 +141,57 @@ def _trim_reference(ext: list[int], r: np.ndarray, size: int) -> list[int]:
     return ext
 
 
-def _cycle(seen: dict, levels: list[float], new_ref, what: str) -> str | None:
-    """If new_ref was the reference at step seen[new_ref], a message naming
-    the cycle's period, its start and the range of `what` (levels[i] at
-    step i) over it; else None.  The next reference is a function of the
-    current one alone, so a repeated reference means the exchange cycles
-    for good."""
-    start = seen.get(tuple(new_ref))
-    if start is None:
-        return None
-    cyc = levels[start:]
-    return (f"exchange fell into a {len(cyc)}-cycle of references at step "
-            f"{start} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
+def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str):
+    """The one reference-exchange loop on an N-point grid.  The exchange
+    solvers differ only in the two functions they pass:
+
+    * solve(ref) -> (residual, level, done) solves on the reference `ref`,
+      a sorted list of `size` grid indices; `level` is the scalar that the
+      exchange drives (`what` names it in messages);
+    * propose(ref, ext, r, level) -> the next reference, given the
+      alternating extrema `ext` (at least `size` of them) of the residual r.
+
+    Starts from `size` evenly spread indices and stops when solve is done,
+    when r has fewer than `size` alternating extrema, or when the reference
+    does not move.  The next reference is a function of the current one
+    alone, so a repeated reference means a cycle for good.  Returns (last
+    solved reference, failure): failure is None, or a message naming the
+    cycle or the max_iter cap.
+    """
+    ref = sorted(set(np.linspace(0, N - 1, size).round().astype(int)))
+    if len(ref) < size:  # collisions only on near-minimal grids
+        pool = [i for i in range(N) if i not in ref]
+        ref = sorted(ref + pool[: size - len(ref)])
+    seen: dict[tuple[int, ...], int] = {}
+    levels: list[float] = []
+    for step in range(max_iter):
+        seen[tuple(ref)] = step
+        r, level, done = solve(ref)
+        levels.append(level)
+        if done:
+            return ref, None
+        ext = _alternating_extrema(r)
+        if len(ext) < size:
+            return ref, None  # residual too flat to exchange further
+        new_ref = propose(ref, ext, r, level)
+        if new_ref == ref:
+            return ref, None
+        start = seen.get(tuple(new_ref))
+        if start is not None:
+            cyc = levels[start:]
+            return ref, (
+                f"exchange fell into a {len(cyc)}-cycle of references at step "
+                f"{start} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
+        ref = new_ref
+    return ref, f"no convergence within {max_iter} exchanges"
 
 
 def _single_exchange(ref: list[int], r: np.ndarray) -> list[int]:
     """Classical one-point exchange: swap the global argmax of |r| into the
     reference so that residual signs keep alternating.  In exact arithmetic
     this strictly increases the leveled error, which rules out cycling; in
-    floating point, on ill-conditioned reference systems, it need not, so
-    callers must still guard against revisiting a reference."""
+    floating point, on ill-conditioned reference systems, it need not, and
+    _exchange catches the revisited reference."""
     z = int(np.argmax(np.abs(r)))
     if z in ref:
         return list(ref)
@@ -220,62 +256,43 @@ def best_uniform_approx(
     V = basis_matrix(x, exps)
     Q, R = orthonormalize(V)
 
-    N = len(x)
-    ref = sorted(set(np.linspace(0, N - 1, m + 1).round().astype(int)))
-    while len(ref) < m + 1:  # collisions only on near-minimal grids
-        pool = sorted(set(range(N)) - set(ref))
-        ref.append(pool[0])
-        ref = sorted(ref)
     sigma = np.array([(-1.0) ** i for i in range(m + 1)])
+    last = {}
 
-    b = np.zeros(m)
-    r = f.copy()
-    err = float(np.max(np.abs(r)))
-    seen: dict[tuple[int, ...], int] = {}
-    levels: list[float] = []
-    failure = None
-    for step in range(max_iter):
-        seen[tuple(ref)] = step
+    def solve(ref):
         A = np.column_stack([Q[ref], sigma])
         try:
             sol = np.linalg.solve(A, f[ref])
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular reference system") from exc
         b, E = sol[:m], sol[m]
-        levels.append(abs(float(E)))
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
-        if err - abs(E) <= tol * max(err, gap_floor):
-            break
-        if err <= 1e-12 * scale:
-            break  # target numerically in the span; residual is noise
-        ext = _alternating_extrema(r)
-        if len(ext) < m + 1:
-            break  # residual too flat to exchange further
-        new_ref = _trim_reference(ext, r, m + 1)
+        last.update(b=b, r=r, err=err)
+        # an error at the noise floor means f is numerically in the span
+        done = (err - abs(E) <= tol * max(err, gap_floor)
+                or err <= 1e-12 * scale)
+        return r, abs(float(E)), done
+
+    def propose(ref, ext, r, E):
         # Accept the multi-point exchange only if the leveled error strictly
         # grows; otherwise fall back to the one-point exchange.  Without this
         # guard the multi-exchange can cycle; in floating point the one-point
-        # exchange can too, which the seen-reference check below catches.
+        # exchange can too, which _exchange catches.
+        new_ref = _trim_reference(ext, r, m + 1)
         if new_ref != ref:
-            A2 = np.column_stack([Q[new_ref], sigma])
             try:
-                E_new = np.linalg.solve(A2, f[new_ref])[m]
+                E_new = np.linalg.solve(np.column_stack([Q[new_ref], sigma]),
+                                        f[new_ref])[m]
             except np.linalg.LinAlgError:
                 E_new = 0.0
-            if abs(E_new) <= abs(E) * (1.0 + 1e-13):
+            if abs(E_new) <= E * (1.0 + 1e-13):
                 new_ref = _single_exchange(ref, r)
-        else:
-            new_ref = _single_exchange(ref, r)
-        if new_ref == ref:
-            break
-        failure = _cycle(seen, levels, new_ref, "leveled error")
-        if failure is not None:
-            break
-        ref = new_ref
-    else:
-        failure = f"no convergence within {max_iter} exchanges"
+            return new_ref
+        return _single_exchange(ref, r)
 
+    ref, failure = _exchange(len(x), m + 1, solve, propose, max_iter,
+                             "leveled error")
     if failure is not None:
         # Exchange is the dual simplex method on the discrete Chebyshev LP
         # (Stiefel 1960), so the LP solves the same problem exactly; its
@@ -284,6 +301,8 @@ def best_uniform_approx(
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
         ref = _trim_reference(_alternating_extrema(r), r, m + 1)
+    else:
+        b, r, err = last["b"], last["r"], last["err"]
 
     coeffs = np.linalg.solve(R, b)
     approx = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
@@ -365,43 +384,27 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
     or after max_iter steps.
     """
     N, m = Q.shape
-    ref = sorted(set(np.linspace(0, N - 1, m).round().astype(int)))
-    while len(ref) < m:
-        pool = sorted(set(range(N)) - set(ref))
-        ref.append(pool[0])
-        ref = sorted(ref)
     sigma = np.array([(-1.0) ** i for i in range(m)])
-    b = None
-    seen: dict[tuple[int, ...], int] = {}
-    sups: list[float] = []
-    for step in range(max_iter):
-        seen[tuple(ref)] = step
+    last = {}
+
+    def solve(ref):
         try:
             b = np.linalg.solve(Q[ref], sigma)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular reference system") from exc
         vals = Q @ b
         M = float(np.max(np.abs(vals)))
-        sups.append(M)
-        if M <= 1.0 + tol:
-            return b, ref
-        ext = _alternating_extrema(vals)
-        if len(ext) < m:
-            break
-        new_ref = _trim_reference(ext, vals, m)
-        if new_ref == ref:
-            break
-        cycle = _cycle(seen, sups, new_ref, "M")
-        if cycle is not None:
-            raise ConvergenceError(f"set-Chebyshev {cycle}")
-        ref = new_ref
-    else:
-        raise ConvergenceError(
-            f"set-Chebyshev exchange: no convergence within {max_iter} steps"
-        )
-    # stationary without certifying M = 1: rescale to a feasible element
-    vals = Q @ b
-    return b / np.max(np.abs(vals)), ref
+        last.update(b=b, M=M)
+        return vals, M, M <= 1.0 + tol
+
+    ref, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
+                             _trim_reference(ext, vals, m), max_iter, "M")
+    if failure is not None:
+        raise ConvergenceError(f"set-Chebyshev {failure}")
+    b, M = last["b"], last["M"]
+    if M > 1.0 + tol:
+        b = b / M  # stationary without certifying M = 1: rescale to feasible
+    return b, ref
 
 
 MP_VALUE_THRESHOLD = 1e8  # route growth values above this through mpmath
@@ -428,41 +431,22 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
         B = [[mp.power(mp.mpf(float(xi)), mp.mpf(float(e))) if xi > 0
               else (mp.mpf(1) if e == 0 else mp.mpf(0))
               for e in exps] for xi in x]
-        sigma = [mp.mpf((-1.0) ** i) for i in range(m)]
-        ref = sorted(set(np.linspace(0, N - 1, m).round().astype(int)))
-        while len(ref) < m:
-            pool = sorted(set(range(N)) - set(ref))
-            ref.append(pool[0])
-            ref = sorted(ref)
-        a = None
-        seen: dict[tuple[int, ...], int] = {}
-        sups: list[float] = []
-        for step in range(max_iter):
-            seen[tuple(ref)] = step
-            A = mp.matrix([B[i] for i in ref])
-            a = mp.lu_solve(A, mp.matrix(sigma))
-            vals_mp = [mp.fsum(B[i][j] * a[j] for j in range(m))
-                       for i in range(N)]
-            M = max(abs(v) for v in vals_mp)
-            sups.append(float(M))
-            if M <= 1 + mp.mpf(tol):
-                break
-            vals = np.array([float(v) for v in vals_mp])
-            ext = _alternating_extrema(vals)
-            if len(ext) < m:
-                break
-            new_ref = _trim_reference(ext, vals, m)
-            if new_ref == ref:
-                break
-            cycle = _cycle(seen, sups, new_ref, "M")
-            if cycle is not None:
-                raise ConvergenceError(f"set-Chebyshev (mp) {cycle}")
-            ref = new_ref
-        else:
-            raise ConvergenceError(
-                f"set-Chebyshev exchange (mp): no convergence within "
-                f"{max_iter} steps"
-            )
+        sigma = mp.matrix([mp.mpf((-1.0) ** i) for i in range(m)])
+        last = {}
+
+        def solve(ref):
+            a = mp.lu_solve(mp.matrix([B[i] for i in ref]), sigma)
+            vals = [mp.fsum(B[i][j] * a[j] for j in range(m)) for i in range(N)]
+            M = max(abs(v) for v in vals)
+            last.update(a=a, M=M)
+            return (np.array([float(v) for v in vals]), float(M),
+                    M <= 1 + mp.mpf(tol))
+
+        ref, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
+                                 _trim_reference(ext, vals, m), max_iter, "M")
+        if failure is not None:
+            raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
+        a, M = last["a"], last["M"]
         values = []
         for y in queries:
             ym = mp.mpf(float(y))

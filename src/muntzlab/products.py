@@ -397,6 +397,8 @@ def product_approx_search(
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
+    if restarts < 1:
+        raise ConfigError("restarts must be >= 1")
     x = grid.as_array()
     f = np.asarray(target_samples, dtype=float)
     if f.shape != x.shape:

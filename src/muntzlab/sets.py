@@ -11,6 +11,8 @@ import numpy as np
 
 from muntzlab.errors import ConfigError
 
+MAX_CANTOR_LEVEL = 20  # 2^20 intervals; a level-60 set would exhaust memory
+
 
 @dataclass(frozen=True)
 class IntervalUnion:
@@ -95,10 +97,17 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
 
     At step k, each of the 2^(k-1) surviving intervals loses its centered
     open middle of length 4^(-k); the level-K set on [0,1] consists of 2^K
-    closed intervals of total measure 1/2 + 2^(-(K+1)).
+    closed intervals of total measure 1/2 + 2^(-(K+1)).  Levels above
+    MAX_CANTOR_LEVEL are refused before any interval is built.
     """
-    if K < 0:
-        raise ConfigError("level must be nonnegative")
+    if not 0 <= K <= MAX_CANTOR_LEVEL:
+        raise ConfigError(f"level must lie in [0, {MAX_CANTOR_LEVEL}]")
+    try:
+        c0, c1 = (float(c) for c in carrier)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("carrier must be a pair [a, b] of numbers") from exc
+    if c0 < 0 or c1 < c0:
+        raise ConfigError("carrier must be a valid interval in [0, inf)")
     pieces = [(0.0, 1.0)]
     for k in range(1, K + 1):
         gap = 4.0 ** (-k)
@@ -108,9 +117,6 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
             nxt.append((a, mid - gap / 2))
             nxt.append((mid + gap / 2, b))
         pieces = nxt
-    c0, c1 = float(carrier[0]), float(carrier[1])
-    if c0 < 0 or c1 < c0:
-        raise ConfigError("carrier must be a valid interval in [0, inf)")
     w = c1 - c0
     return IntervalUnion(tuple((c0 + w * a, c0 + w * b) for a, b in pieces))
 
@@ -147,6 +153,5 @@ def union_from_json(obj: dict) -> IntervalUnion:
         unknown = set(spec) - {"level", "carrier"}
         if unknown:
             raise ConfigError(f"unknown fat_cantor fields: {sorted(unknown)}")
-        carrier = tuple(spec.get("carrier", (0.0, 1.0)))
-        return fat_cantor(int(spec["level"]), carrier)
+        return fat_cantor(int(spec["level"]), spec.get("carrier", (0.0, 1.0)))
     raise ConfigError(f"unrecognized set descriptor: {sorted(obj)}")

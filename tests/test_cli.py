@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -45,17 +44,6 @@ def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_main(["classical", "--config", cfg, "--out", str(a), "--seed", "7"]) == 0
     assert run_main(["classical", "--config", cfg, "--out", str(b), "--seed", "7"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, {"n_list": [1, 2, 3], "s_list": [0.25, 0.5],
-                               "mesh": 1e-2})
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("MUNTZLAB_THREADS", "1")
-    assert run_main(["classical", "--config", cfg, "--out", str(a)]) == 0
-    monkeypatch.setenv("MUNTZLAB_THREADS", "4")
-    assert run_main(["classical", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -192,12 +180,32 @@ def test_products_unknown_task(tmp_path):
     assert run_main(["products", "--config", cfg]) == 2
 
 
-def test_bad_threads_env(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, CLASSICAL_CFG)
-    monkeypatch.setenv("MUNTZLAB_THREADS", "zero")
-    assert run_main(["classical", "--config", cfg]) == 2
-    monkeypatch.setenv("MUNTZLAB_THREADS", "0")
-    assert run_main(["classical", "--config", cfg]) == 2
+def assert_one_line_config_error(capsys, cfg_path, command):
+    assert run_main([command, "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("muntzlab: config error:")
+    assert err.count("\n") == 1
+
+
+def test_products_search_zero_restarts_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "task": "search",
+        "sequences": [{"kind": "squares"}, {"kind": "squares"}],
+        "n": 2, "target": "monomial(4)", "rounds": 3, "mesh": 0.015625,
+        "restarts": 0,
+    })
+    assert_one_line_config_error(capsys, cfg, "products")
+
+
+def test_products_h4_single_grid_point_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"task": "h4", "n_list": [5], "grid_points": 1})
+    assert_one_line_config_error(capsys, cfg, "products")
+
+
+@pytest.mark.parametrize("carrier", [[0.5], 5])
+def test_cantor_carrier_not_a_pair_is_config_error(tmp_path, capsys, carrier):
+    cfg = write_cfg(tmp_path, {"level": 3, "carrier": carrier})
+    assert_one_line_config_error(capsys, cfg, "cantor")
 
 
 def test_console_entry_point():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from muntzlab.minimax import (
     growth_sweep,
     orthonormalize,
 )
-from muntzlab.exponents import squares, truncate
+from muntzlab.exponents import arithmetic, squares, truncate
 from muntzlab.muntzeval import basis_matrix
 from muntzlab.sets import Grid, discretize, fat_cantor, normalize
 
@@ -298,6 +299,17 @@ def test_growth_scale_invariant_under_column_rescaling():
     assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 
 
+def test_growth_lp_retry_ladder_reaches_a_later_attempt():
+    # A gap query (0.75 lies between the two pieces) sharing its QR with a
+    # far query: HiGHS fails the first attempt of the 0.75 growth LP and the
+    # ladder solves a later one.  The same query alone solves at once.
+    exps = truncate(arithmetic(0.5), 9)
+    g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
+    swept = growth_sweep(exps, g, [0.75, 0.0])[0]
+    alone = growth_functional(exps, g, 0.75)
+    assert swept.value == pytest.approx(alone.value, rel=1e-4)
+
+
 def test_growth_underdetermined_raises():
     A = normalize([[0.5, 1.0]])
     tiny = Grid((0.5, 1.0), A, 0.5)
@@ -359,6 +371,15 @@ def test_set_chebyshev_names_its_cycle_early(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"4-cycle of references"):
         minimax._set_chebyshev(Q, tol=1e-10)
     assert len(solves) < 25
+
+
+def test_set_chebyshev_mp_names_the_iteration_cap():
+    # the 60-digit route runs the same exchange loop and its messages
+    x = discretize(normalize([[0.75, 1.0]]), 1e-3).as_array()
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("(mp) no convergence within 1")):
+        minimax._set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0],
+                                  max_iter=1)
 
 
 # ------------------------------------------------------- general minimax LP
