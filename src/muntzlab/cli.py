@@ -173,8 +173,9 @@ RUNNERS = {
 }
 
 COLUMN_DOCS = {
-    "classical": "n,s,mesh,computed,predicted,relative_error: growth-LP "
-                 "value on [1-s,1] at query 0 vs the Chebyshev closed form",
+    "classical": "n,s,mesh,computed,predicted,relative_error: growth "
+                 "value (set-Chebyshev exchange) on [1-s,1] at query 0 vs "
+                 "the Chebyshev closed form",
     "remez-constant": "n,s,rho,set_id,y,mesh,value: empirical Remez constant "
                       "per dimension with its attaining set index and query",
     "density": "target,n,mesh,error: best-approximation error per truncation",

@@ -14,7 +14,8 @@ class ConditioningError(MuntzlabError):
 
 
 class UnboundedGrowthError(MuntzlabError):
-    """The growth linear program is unbounded (constraint grid too coarse)."""
+    """The growth functional is unbounded: the constraint grid has fewer
+    points than the dimension of the span."""
 
 
 class ConvergenceError(MuntzlabError):

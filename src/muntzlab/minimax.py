@@ -7,7 +7,8 @@ Two solvers share one orthonormalization front end:
   de-la-Vallee-Poussin lower bound).
 * growth_functional   - the extremal growth
   sup { |p(y)| : |p| <= 1 on the constraint grid }: exchange for the
-  set-Chebyshev element outside the constraint hull, LP inside.
+  set-Chebyshev element outside the constraint hull; inside it, 1 at a
+  grid point and one LP with a checked duality certificate elsewhere.
 
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
 arithmetic) runs in the one loop _exchange; the solvers supply only the
@@ -39,6 +40,7 @@ from muntzlab.sets import Grid
 DEFAULT_TOL = 1e-8
 MAX_EXCHANGES = 200
 RANK_TOL = 1e-14
+GROWTH_CERT_RTOL = 1e-6  # 10x the default HiGHS feasibility tolerance
 
 
 @dataclass(frozen=True)
@@ -325,47 +327,31 @@ def best_uniform_approx(
 
 
 def _growth_lp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """maximize |q . b| subject to -1 <= Q b <= 1; returns optimal b.
+    """maximize q . b subject to -1 <= Q b <= 1; returns the optimal b.
 
-    Variables carry large finite box bounds (HiGHS loses its footing on
-    fully free variables when the optimum is huge); a solution pinned to
-    the box means the problem is effectively unbounded, and the box grows
-    a few times before that verdict to rule out merely-large optima.
+    Q has orthonormal columns, so every feasible b has
+    ||b||_2 = ||Q b||_2 <= sqrt(N): the box |b_i| <= sqrt(N) + 1 never binds
+    and only keeps HiGHS off free variables.  The answer is checked by LP
+    duality (Cheney 1966, ch. 2): |q . b| / max |Q b| is attained by a
+    feasible point, and the l1 norm of the constraint multipliers bounds
+    every feasible value from above.  ConvergenceError names both bounds
+    when they differ by more than GROWTH_CERT_RTOL relative.
     """
     N, m = Q.shape
-    A_ub = np.vstack([Q, -Q])
-    b_ub = np.ones(2 * N)
-    # The feasible set is symmetric under b -> -b, so maximizing +q.b and
-    # -q.b are the same problem; HiGHS occasionally solves only one of the
-    # two formulations at extreme optimum magnitudes, so both appear in
-    # the attempt ladder, along with free vs large-box variable bounds.
-    attempts = [
-        (sign, box, presolve)
-        for box, presolve in ((None, True), (None, False), (1e14, True),
-                              (1e14, False), (1e17, False))
-        for sign in (1.0, -1.0)
-    ]
-    last_msg = ""
-    for sign, box, presolve in attempts:
-        bounds = [(None, None)] * m if box is None else [(-box, box)] * m
-        res = linprog(-sign * q, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                      method="highs", options={"presolve": presolve})
-        if res.status == 3:
-            raise UnboundedGrowthError(
-                "growth LP unbounded: constraint grid too coarse for "
-                "this basis"
-            )
-        if res.status == 0:
-            if box is not None and np.max(np.abs(res.x)) >= 0.99 * box:
-                if box >= 1e17:
-                    raise UnboundedGrowthError(
-                        "growth LP solution pinned to its box: constraint "
-                        "grid too coarse for this basis"
-                    )
-                continue  # pinned solution: box too tight for this optimum
-            return res.x
-        last_msg = res.message
-    raise ConvergenceError(f"growth LP failed: {last_msg}")
+    box = math.sqrt(N) + 1.0
+    res = linprog(-q, A_ub=np.vstack([Q, -Q]), b_ub=np.ones(2 * N),
+                  bounds=[(-box, box)] * m, method="highs")
+    if res.status != 0:
+        raise ConvergenceError(f"growth LP failed: {res.message}")
+    b = res.x
+    peak = float(np.max(np.abs(Q @ b)))
+    lower = abs(float(q @ b)) / peak if peak > 0.0 else 0.0
+    upper = float(np.sum(np.abs(res.ineqlin.marginals)))
+    if abs(upper - lower) > GROWTH_CERT_RTOL * max(upper, lower):
+        raise ConvergenceError(
+            f"growth LP certificate failed: primal bound {lower:.9g}, "
+            f"dual bound {upper:.9g}")
+    return b
 
 
 def growth_functional(exponents, constraint: Grid, query: float) -> GrowthResult:
@@ -461,11 +447,18 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
 
 
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
-    """growth_functional over many query points with one shared QR.
+    """growth_functional over many query points.
 
-    The query points join the grid rows in the orthonormalization, so the
-    LP objective (point evaluation at the query) is a plain row of Q and
-    never passes through an ill-conditioned triangular solve.
+    Queries outside the constraint hull share one extremal, the generalized
+    Chebyshev element of the span on the grid.  For its exchange the query
+    points join the grid rows in one QR, so a query value is a plain row of
+    Q and never passes through an ill-conditioned triangular solve.
+
+    Inside the hull, a query at a grid point has value 1, attained by the
+    constant when 0 is an exponent, and solves no LP.  Every other query
+    inside the hull runs one _growth_lp on a QR of the grid rows alone
+    (made once per sweep), where the box is exact; its query row is
+    R^-T v(y).
     """
     exps = tuple(float(e) for e in exponents)
     x = constraint.as_array()
@@ -483,8 +476,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     lo, hi = float(x.min()), float(x.max())
 
     # One shared extremal serves every query outside the constraint hull:
-    # the generalized Chebyshev element of the span on the grid.  Queries
-    # inside the hull (gaps of the set) fall back to a per-query LP.
+    # the generalized Chebyshev element of the span on the grid.
     outside = [y < lo or y > hi for y in ys]
     cheb_b = None
     mp_results = None
@@ -513,23 +505,27 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     elif cheb_b is not None:
         shared = extremal(np.linalg.solve(R, cheb_b), Q @ cheb_b)
 
+    grid_points = set(x.tolist())
+    grid_qr = None  # (Q, R) of the grid rows alone, for the growth LPs
     out = []
     for i, y in enumerate(ys):
-        q = Qall[len(x) + i]
         if outside[i]:
             p, active = shared
             value = mp_results[y] if mp_results is not None \
-                else abs(float(q @ cheb_b))
+                else abs(float(Qall[len(x) + i] @ cheb_b))
+        elif 0.0 in exps and y in grid_points:
+            p = MuntzPolynomial(exps, tuple(float(e == 0.0) for e in exps))
+            active, value = tuple(x.tolist()), 1.0
         else:
-            b = _growth_lp(Q, q)
-            p, active = extremal(np.linalg.solve(R, b), Q @ b)
+            if grid_qr is None:
+                grid_qr = orthonormalize(basis_matrix(x, exps))
+            Qg, Rg = grid_qr
+            q = np.linalg.solve(Rg.T, basis_matrix(np.array([y]), exps)[0])
+            b = _growth_lp(Qg, q)
+            p, active = extremal(np.linalg.solve(Rg, b), Qg @ b)
             value = abs(float(q @ b))
-        out.append(GrowthResult(
-            value=value,
-            extremal=p,
-            query=float(y),
-            constraint_active_points=active,
-        ))
+        out.append(GrowthResult(value=value, extremal=p, query=float(y),
+                                constraint_active_points=active))
     return out
 
 

@@ -135,8 +135,9 @@ def draw_alpha_samples(
     j: int = 0,
 ) -> list[MuntzPolynomial]:
     """The deterministic sample family behind estimate_alpha: `budget`
-    random span elements plus the growth-LP extremals for the endpoint
-    constraint interval [1-s, 1]."""
+    random span elements plus the growth extremals at the queries 0 and
+    (1-s)/2 for the endpoint constraint interval [1-s, 1]; both queries lie
+    outside it, so they share one set-Chebyshev extremal."""
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     exps = truncate(seq_j, n)

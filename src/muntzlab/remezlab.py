@@ -59,7 +59,8 @@ def classical_remez_bound(n: int, s: float) -> float:
 
 
 def verify_classical_extremal(n: int, s: float, mesh: float) -> ClassicalReport:
-    """Compare the growth LP on a grid of [1-s, 1] at query 0 against the
+    """Compare the growth functional on a grid of [1-s, 1] at query 0 (outside
+    the grid's hull, so solved by set-Chebyshev exchange) against the
     closed-form Chebyshev value."""
     exps = list(range(n + 1))
     grid = discretize(normalize([[1.0 - s, 1.0]]), mesh)
@@ -163,8 +164,12 @@ def named_target(name: str):
     if name in TARGETS:
         return TARGETS[name]
     if name.startswith("monomial(") and name.endswith(")"):
-        m = float(name[len("monomial("):-1])
-        if m < 0:
+        try:
+            m = float(name[len("monomial("):-1])
+        except ValueError:
+            raise ConfigError(
+                f"monomial exponent must be a number: {name!r}") from None
+        if not m >= 0:
             raise ConfigError("monomial exponent must be >= 0")
         return lambda x: np.asarray(x, dtype=float) ** m
     raise ConfigError(f"unknown target {name!r}")

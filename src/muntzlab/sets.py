@@ -12,6 +12,10 @@ import numpy as np
 from muntzlab.errors import ConfigError
 
 MAX_CANTOR_LEVEL = 20  # 2^20 intervals; a level-60 set would exhaust memory
+# Cap on the cells sum (b - a) / mesh of one discretization, one grid point
+# each: a 1e6-point grid with a 13-column basis and its QR takes a few
+# hundred MB, while the tests and the benchmark use about 1e3 points.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,20 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
 
 def discretize(A: IntervalUnion, mesh: float) -> Grid:
     """Uniform subdivision of each interval at spacing <= mesh; degenerate
-    singletons contribute their single point."""
-    if mesh <= 0:
+    singletons contribute their single point.  A mesh that would give more
+    than MAX_GRID_POINTS cells is refused before any point is built."""
+    if not mesh > 0:  # NaN too
         raise ConfigError("mesh must be positive")
+    cells = [(b - a) / mesh for a, b in A.intervals]
+    if not sum(cells) <= MAX_GRID_POINTS:  # inf too
+        raise ConfigError(
+            f"mesh {mesh!r} gives more than {MAX_GRID_POINTS} grid points")
     pts: list[float] = []
-    for a, b in A.intervals:
+    for (a, b), n in zip(A.intervals, cells):
         if a == b:
             pts.append(a)
             continue
-        nseg = max(1, math.ceil((b - a) / mesh - 1e-12))
+        nseg = max(1, math.ceil(n - 1e-12))
         pts.extend(a + (b - a) * i / nseg for i in range(nseg))
         pts.append(b)
     return Grid(tuple(pts), A, mesh)
@@ -150,6 +159,8 @@ def union_from_json(obj: dict) -> IntervalUnion:
         return normalize(obj["intervals"])
     if set(obj) == {"fat_cantor"}:
         spec = obj["fat_cantor"]
+        if not isinstance(spec, dict) or "level" not in spec:
+            raise ConfigError("fat_cantor needs an object with a level")
         unknown = set(spec) - {"level", "carrier"}
         if unknown:
             raise ConfigError(f"unknown fat_cantor fields: {sorted(unknown)}")

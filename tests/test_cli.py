@@ -208,6 +208,25 @@ def test_cantor_carrier_not_a_pair_is_config_error(tmp_path, capsys, carrier):
     assert_one_line_config_error(capsys, cfg, "cantor")
 
 
+DENSITY_CFG = {
+    "target": "abs2x1",
+    "sequence": {"kind": {"arithmetic": 1.0}},
+    "set": {"fat_cantor": {"level": 2}},
+    "n_list": [2, 4],
+    "mesh": 1e-2,
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("set", {"fat_cantor": {}}),
+    ("target", "monomial(abc)"),
+    ("mesh", float("nan")),
+])
+def test_density_bad_field_is_config_error(tmp_path, capsys, field, value):
+    cfg = write_cfg(tmp_path, dict(DENSITY_CFG, **{field: value}))
+    assert_one_line_config_error(capsys, cfg, "density")
+
+
 def test_console_entry_point():
     # the installed script and `python -m` both work end to end
     proc = subprocess.run(

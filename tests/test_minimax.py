@@ -299,15 +299,68 @@ def test_growth_scale_invariant_under_column_rescaling():
     assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 
 
-def test_growth_lp_retry_ladder_reaches_a_later_attempt():
-    # A gap query (0.75 lies between the two pieces) sharing its QR with a
-    # far query: HiGHS fails the first attempt of the 0.75 growth LP and the
-    # ladder solves a later one.  The same query alone solves at once.
+def test_growth_gap_query_swept_equals_alone():
+    # A gap query (0.75 lies between the two pieces) in a sweep with a far
+    # query: its LP runs on the QR of the grid rows alone, so the far query
+    # changes no bit of its answer.
     exps = truncate(arithmetic(0.5), 9)
     g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
     swept = growth_sweep(exps, g, [0.75, 0.0])[0]
     alone = growth_functional(exps, g, 0.75)
-    assert swept.value == pytest.approx(alone.value, rel=1e-4)
+    assert swept.value == alone.value
+    assert swept.extremal == alone.extremal
+
+
+def test_growth_gap_query_is_not_distorted_by_far_queries():
+    # With far queries 0 and 0.25 in one QR with the grid, the grid rows
+    # are no longer orthonormal and the gap LP once returned 136.77.  The
+    # extremal, evaluated in 50 digits, shows the value is at least 295.65.
+    exps = truncate(arithmetic(0.5), 10)
+    g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
+    swept = growth_sweep(exps, g, [0.75, 0.0, 0.25])[0]
+    alone = growth_functional(exps, g, 0.75)
+    assert swept.value == alone.value
+    assert swept.value >= 295.0
+
+
+def test_growth_at_a_grid_point_solves_no_lp(monkeypatch):
+    # [DERIVED] y = 0.5 starts the set and is a grid point, and 0 is an
+    # exponent: the constant 1 is extremal and the value is exactly 1
+    calls = []
+    real = minimax.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(minimax, "linprog", counted)
+    g = discretize(fat_cantor(3, (0.5, 1)), 1e-3)
+    res = growth_functional(range(13), g, 0.5)
+    assert res.value == 1.0
+    assert res.extremal.coefficients == (1.0,) + (0.0,) * 12
+    assert res.constraint_active_points == g.points
+    assert calls == []
+
+
+def test_growth_lp_checks_its_dual_bound(monkeypatch):
+    # multipliers that disagree with the primal answer are an error
+    x = discretize(normalize([[0.5, 1.0]]), 1e-2).as_array()
+    exps = [0.0, 1.0, 2.0]
+    Q, R = orthonormalize(basis_matrix(x, exps))
+    q = np.linalg.solve(R.T, basis_matrix(np.array([0.3]), exps)[0])
+    b = minimax._growth_lp(Q, q)
+    assert abs(float(q @ b)) == pytest.approx(5.48, rel=1e-9)  # T_2(-1.8)
+    real = minimax.linprog
+
+    def doubled_marginals(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.ineqlin.marginals = 2.0 * res.ineqlin.marginals
+        return res
+
+    monkeypatch.setattr(minimax, "linprog", doubled_marginals)
+    with pytest.raises(ConvergenceError,
+                       match=r"primal bound 5\.48\d*, dual bound 10\.96"):
+        minimax._growth_lp(Q, q)
 
 
 def test_growth_underdetermined_raises():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from muntzlab.errors import ConfigError
 from muntzlab.sets import (
+    MAX_GRID_POINTS,
     discretize,
     essential_supremum,
     fat_cantor,
@@ -130,6 +131,15 @@ def test_discretize_singleton_and_errors():
     assert g.points == (0.5,)
     with pytest.raises(ConfigError):
         discretize(normalize([[0.0, 1.0]]), 0.0)
+    with pytest.raises(ConfigError, match="positive"):
+        discretize(normalize([[0.0, 1.0]]), float("nan"))
+
+
+@pytest.mark.parametrize("mesh", [1.0 / (MAX_GRID_POINTS + 1), 1e-300, 5e-324])
+def test_discretize_refuses_a_grid_beyond_the_cap(mesh):
+    # refused before any point is built; 5e-324 makes (b - a) / mesh = inf
+    with pytest.raises(ConfigError, match="grid points"):
+        discretize(normalize([[0.0, 1.0]]), mesh)
 
 
 @given(intervals_strategy(),
