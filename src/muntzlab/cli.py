@@ -2,175 +2,202 @@
 
 Usage: muntzlab <subcommand> --config <file.json> [--out <file.csv>] [--seed N]
 
-Subcommands: classical, remez-constant, density, products, cantor.
-Exit codes: 0 ok, 2 config error, 3 numeric/solver failure, 4 I/O failure.
-"""
+Subcommands: classical, remez-constant, density, products (whose "task" is
+alpha, verify, search or h4), cantor.  Before any work, a config is checked
+once against its SCHEMAS entry: each field has a type, a range and a size
+cap (the MAX_* constants), and the runner gets typed values.
+Exit codes: 0 ok, 2 config error (one line on stderr), 3 numeric/solver
+failure, 4 I/O failure."""
 
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from muntzlab import products, remezlab
-from muntzlab.errors import ConfigError, MuntzlabError
+from muntzlab.errors import ConfigError, MuntzlabError, finite_number
 from muntzlab.exponents import sequence_from_json
-from muntzlab.sets import discretize, fat_cantor, union_from_json
+from muntzlab.sets import (MAX_CANTOR_LEVEL, MAX_GRID_POINTS, discretize,
+                           essential_supremum, fat_cantor, normalize,
+                           union_from_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+MAX_DIM = 64  # dimension index n; squares already fail to condition at 35
+MAX_DEGREE = 10_000  # h4 monomial degrees; criterion 7 runs four squares to 1e4
+MAX_COUNT = 10_000  # rounds, restarts, budgets, k: each sizes a list or a loop
+MAX_LIST = 256  # entries of a list field
+MAX_FACTORS = 8  # product factors; the search holds a grid x dimension basis each
 
-def _require(cfg: dict, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    missing = required - set(cfg)
+
+class Field(NamedTuple):
+    """One config field: `kind` is int, float, str or a nested descriptor's
+    parser.  Numbers lie in [lo, hi]; a bool is no number, an int is a float
+    and a float is finite.  With `many` > 0 the field is a list of 1 to
+    `many` such values.  A field with a default other than None is optional."""
+
+    kind: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    many: int = 0
+    default: object = None
+
+
+DIM = Field(int, 0, MAX_DIM)
+DIMS = DIM._replace(many=MAX_LIST)
+COUNT = Field(int, 1, MAX_COUNT)
+UNIT = Field(float, 0.0, 1.0)
+MESH = Field(float, 0.0)  # discretize refuses 0 and a grid beyond its cap
+SEQUENCE = Field(sequence_from_json)
+SEQUENCES = Field(sequence_from_json, many=MAX_FACTORS)
+TASK = Field(str)  # main picks the products schema by it
+
+SCHEMAS = {
+    "classical": {"n_list": DIMS, "s_list": UNIT._replace(many=MAX_LIST),
+                  "mesh": MESH},
+    "remez-constant": {"sequence": SEQUENCE, "n_max": DIM, "s": UNIT,
+                       "rho": UNIT, "mesh": MESH,
+                       "family": Field(union_from_json, many=MAX_LIST, default=())},
+    "density": {"target": Field(str), "sequence": SEQUENCE,
+                "set": Field(union_from_json), "n_list": DIMS, "mesh": MESH},
+    "cantor": {"level": Field(int, 0, MAX_CANTOR_LEVEL),
+               "carrier": Field(float, 0.0, many=2, default=(0.0, 1.0))},
+    "products.alpha": {"task": TASK, "sequences": SEQUENCES, "n": DIM,
+                       "s": UNIT, "k": COUNT, "budget": COUNT, "mesh": MESH},
+    "products.verify": {"task": TASK, "sequences": SEQUENCES, "n": DIM,
+                        "s": UNIT, "rho": UNIT, "budget": COUNT, "mesh": MESH,
+                        "alpha_budget": COUNT._replace(default=25)},
+    "products.search": {"task": TASK, "sequences": SEQUENCES, "n": DIM,
+                        "target": Field(str), "rounds": COUNT,
+                        "restarts": COUNT._replace(default=1), "mesh": MESH},
+    "products.h4": {"task": TASK,
+                    "n_list": Field(int, 0, MAX_DEGREE, many=MAX_LIST),
+                    "grid_points": Field(int, 2, MAX_GRID_POINTS)},
+}
+
+
+def _value(name: str, v, f: Field):
+    if f.many:
+        if not isinstance(v, list) or not 1 <= len(v) <= f.many:
+            raise ConfigError(f"{name} must be a list of 1 to {f.many} entries")
+        return [_value(f"{name}[{i}]", x, f._replace(many=0))
+                for i, x in enumerate(v)]
+    if f.kind not in (int, float, str):  # the parser of a nested descriptor
+        try:
+            return f.kind(v)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    if f.kind is float:
+        v = finite_number(v, name)
+    elif isinstance(v, bool) or not isinstance(v, f.kind):
+        raise ConfigError(f"{name} must be of type {f.kind.__name__}, not {v!r}")
+    if f.kind is not str and not f.lo <= v <= f.hi:
+        raise ConfigError(f"{name} must lie in [{f.lo}, {f.hi}], not {v!r}")
+    return v
+
+
+def _parse(cfg: dict, schema: dict) -> SimpleNamespace:
+    """The typed values of a loaded config, checked against one schema."""
+    missing = {k for k, f in schema.items() if f.default is None} - set(cfg)
     if missing:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
-    unknown = set(cfg) - required - set(optional)
+    unknown = set(cfg) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    return SimpleNamespace(**{k: _value(k, cfg[k], f) if k in cfg else f.default
+                              for k, f in schema.items()})
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
-def run_classical(cfg: dict, seed: int):
-    _require(cfg, {"n_list", "s_list", "mesh"})
-    mesh = float(cfg["mesh"])
-    header = ["n", "s", "mesh", "computed", "predicted", "relative_error"]
-    jobs = [(int(n), float(s)) for n in cfg["n_list"] for s in cfg["s_list"]]
-
-    def one(n, s):
-        rep = remezlab.verify_classical_extremal(n, s, mesh)
-        return [n, s, mesh, rep.computed, rep.predicted, rep.relative_error]
-
-    return header, [one(n, s) for n, s in jobs], mesh
+def run_classical(c, seed: int):
+    rows = []
+    for n in c.n_list:
+        for s in c.s_list:
+            rep = remezlab.verify_classical_extremal(n, s, c.mesh)
+            rows.append([n, s, c.mesh, rep.computed, rep.predicted, rep.relative_error])
+    return ["n", "s", "mesh", "computed", "predicted", "relative_error"], rows, c.mesh
 
 
-def run_remez_constant(cfg: dict, seed: int):
-    _require(cfg, {"sequence", "n_max", "s", "rho", "mesh"}, {"family"})
-    seq = sequence_from_json(cfg["sequence"])
-    s, rho, mesh = float(cfg["s"]), float(cfg["rho"]), float(cfg["mesh"])
-    if "family" in cfg:
-        family = [union_from_json(d) for d in cfg["family"]]
-    else:
-        family = remezlab.default_set_family(s, rho)
-    header = ["n", "s", "rho", "set_id", "y", "mesh", "value"]
-
-    def one(n):
-        est = remezlab.remez_constant_estimate(seq, n, s, rho, family, mesh)
-        return [n, s, rho, est.attaining_set, est.attaining_query, mesh,
-                est.c_value]
-
-    return header, [one(n) for n in range(int(cfg["n_max"]) + 1)], mesh
+def run_remez_constant(c, seed: int):
+    family = c.family or remezlab.default_set_family(c.s, c.rho)
+    rows = []
+    for n in range(c.n_max + 1):
+        est = remezlab.remez_constant_estimate(c.sequence, n, c.s, c.rho,
+                                               family, c.mesh)
+        rows.append([n, c.s, c.rho, est.attaining_set, est.attaining_query,
+                     c.mesh, est.c_value])
+    return ["n", "s", "rho", "set_id", "y", "mesh", "value"], rows, c.mesh
 
 
-def run_density(cfg: dict, seed: int):
-    _require(cfg, {"target", "sequence", "set", "n_list", "mesh"})
-    seq = sequence_from_json(cfg["sequence"])
-    A = union_from_json(cfg["set"])
-    mesh = float(cfg["mesh"])
-    res = remezlab.density_probe(cfg["target"], seq, A, list(cfg["n_list"]), mesh)
-    header = ["target", "n", "mesh", "error"]
-    rows = [[cfg["target"], n, mesh, e] for n, e in res.errors_by_n]
-    return header, rows, mesh
+def run_density(c, seed: int):
+    res = remezlab.density_probe(c.target, c.sequence, c.set, c.n_list, c.mesh)
+    rows = [[c.target, n, c.mesh, e] for n, e in res.errors_by_n]
+    return ["target", "n", "mesh", "error"], rows, c.mesh
 
 
-def run_cantor(cfg: dict, seed: int):
-    _require(cfg, {"level"}, {"carrier"})
-    K = int(cfg["level"])
-    A = fat_cantor(K, cfg.get("carrier", (0.0, 1.0)))
-    header = ["level", "intervals", "measure", "essential_supremum"]
-    from muntzlab.sets import essential_supremum
-
-    return header, [[K, len(A.intervals), A.measure(), essential_supremum(A)]], None
+def run_cantor(c, seed: int):
+    A = fat_cantor(c.level, c.carrier)
+    row = [c.level, len(A.intervals), A.measure(), essential_supremum(A)]
+    return ["level", "intervals", "measure", "essential_supremum"], [row], None
 
 
-def run_products(cfg: dict, seed: int):
-    if not isinstance(cfg, dict) or "task" not in cfg:
-        raise ConfigError("products config needs a 'task' field")
-    task = cfg["task"]
-    if task == "alpha":
-        _require(cfg, {"task", "sequences", "n", "s", "k", "budget", "mesh"})
-        seqs = [sequence_from_json(d) for d in cfg["sequences"]]
-        rows = []
-        for j, seq in enumerate(seqs):
-            est = products.estimate_alpha(
-                seq, int(cfg["n"]), float(cfg["s"]), int(cfg["k"]),
-                int(cfg["budget"]), seed, float(cfg["mesh"]), j=j,
-            )
-            rows.append([est.j, est.n, est.s, est.k, est.alpha,
-                         est.sample_count])
-        return ["j", "n", "s", "k", "alpha", "samples"], rows, float(cfg["mesh"])
-    if task == "verify":
-        _require(cfg, {"task", "sequences", "n", "s", "rho", "budget", "mesh"},
-                 {"alpha_budget"})
-        seqs = [sequence_from_json(d) for d in cfg["sequences"]]
-        spec = products.ProductSpaceSpec(tuple(seqs))
-        mesh = float(cfg["mesh"])
-        n, s = int(cfg["n"]), float(cfg["s"])
-        ab = int(cfg.get("alpha_budget", 25))
-        alphas = [
-            products.estimate_alpha(seq, n, s, spec.k, ab, seed, mesh, j=j)
-            for j, seq in enumerate(seqs)
-        ]
-        rep = products.verify_product_remez(
-            spec, n, s, float(cfg["rho"]), alphas, int(cfg["budget"]),
-            seed, mesh,
-        )
-        rows = [
-            [i, r, rep.c, int(r > rep.c * (1.0 + 1e-9))]
-            for i, r in enumerate(rep.ratios)
-        ]
-        return ["sample", "ratio", "c", "violation"], rows, mesh
-    if task == "search":
-        _require(cfg, {"task", "sequences", "n", "target", "rounds", "mesh"},
-                 {"restarts"})
-        seqs = [sequence_from_json(d) for d in cfg["sequences"]]
-        spec = products.ProductSpaceSpec(tuple(seqs))
-        from muntzlab.sets import normalize
-
-        grid = discretize(normalize([[0.0, 1.0]]), float(cfg["mesh"]))
-        f = remezlab.named_target(cfg["target"])(grid.as_array())
-        rep = products.product_approx_search(
-            f, grid, spec, int(cfg["n"]), int(cfg["rounds"]), seed,
-            restarts=int(cfg.get("restarts", 1)),
-        )
-        rows = [[t, e] for t, e in enumerate(rep.best_error_by_round)]
-        return ["round", "best_error"], rows, float(cfg["mesh"])
-    if task == "h4":
-        _require(cfg, {"task", "n_list", "grid_points"})
-        from muntzlab.sets import normalize
-
-        npts = int(cfg["grid_points"])
-        if npts < 2:
-            raise ConfigError("grid_points must be >= 2")
-        grid = discretize(normalize([[0.0, 1.0]]), 1.0 / (npts - 1))
-        rows = []
-        for n in cfg["n_list"]:
-            w = products.monomial_in_H4(int(n), grid)
-            a, b, c, d = w.decomposition
-            rows.append([int(n), a, b, c, d, w.max_abs_deviation])
-        return ["n", "a", "b", "c", "d", "deviation"], rows, None
-    raise ConfigError(f"unknown products task {task!r}")
+def run_products_alpha(c, seed: int):
+    rows = []
+    for j, seq in enumerate(c.sequences):
+        est = products.estimate_alpha(seq, c.n, c.s, c.k, c.budget, seed,
+                                      c.mesh, j=j)
+        rows.append([est.j, est.n, est.s, est.k, est.alpha, est.sample_count])
+    return ["j", "n", "s", "k", "alpha", "samples"], rows, c.mesh
 
 
-RUNNERS = {
-    "classical": run_classical,
-    "remez-constant": run_remez_constant,
-    "density": run_density,
-    "products": run_products,
-    "cantor": run_cantor,
-}
+def run_products_verify(c, seed: int):
+    spec = products.ProductSpaceSpec(tuple(c.sequences))
+    alphas = [products.estimate_alpha(seq, c.n, c.s, spec.k, c.alpha_budget,
+                                      seed, c.mesh, j=j)
+              for j, seq in enumerate(c.sequences)]
+    rep = products.verify_product_remez(spec, c.n, c.s, c.rho, alphas,
+                                        c.budget, seed, c.mesh)
+    rows = [[i, r, rep.c, int(r > rep.c * (1.0 + 1e-9))]
+            for i, r in enumerate(rep.ratios)]
+    return ["sample", "ratio", "c", "violation"], rows, c.mesh
+
+
+def run_products_search(c, seed: int):
+    spec = products.ProductSpaceSpec(tuple(c.sequences))
+    grid = discretize(normalize([[0.0, 1.0]]), c.mesh)
+    f = remezlab.named_target(c.target)(grid.as_array())
+    rep = products.product_approx_search(f, grid, spec, c.n, c.rounds, seed,
+                                         restarts=c.restarts)
+    rows = [[t, e] for t, e in enumerate(rep.best_error_by_round)]
+    return ["round", "best_error"], rows, c.mesh
+
+
+def run_products_h4(c, seed: int):
+    grid = discretize(normalize([[0.0, 1.0]]), 1.0 / (c.grid_points - 1))
+    rows = []
+    for n in c.n_list:
+        w = products.monomial_in_H4(n, grid)
+        rows.append([n, *w.decomposition, w.max_abs_deviation])
+    return ["n", "a", "b", "c", "d", "deviation"], rows, None
+
+
+RUNNERS = {"classical": run_classical, "remez-constant": run_remez_constant,
+           "density": run_density, "cantor": run_cantor,
+           "products.alpha": run_products_alpha, "products.verify": run_products_verify,
+           "products.search": run_products_search, "products.h4": run_products_h4}
 
 COLUMN_DOCS = {
     "classical": "n,s,mesh,computed,predicted,relative_error: growth "
@@ -203,9 +230,7 @@ def write_csv(path: str | None, header, rows, cfg: dict, seed: int, mesh):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="muntzlab",
-        description="Muntz-space / Remez-inequality experiment runner",
-    )
+        prog="muntzlab", description="Muntz-space / Remez-inequality experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in COLUMN_DOCS.items():
         p = sub.add_parser(name, description=f"CSV columns: {doc}",
@@ -224,11 +249,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"muntzlab: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or digits
         print(f"muntzlab: invalid JSON config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        header, rows, mesh = RUNNERS[args.command](cfg, args.seed)
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+        name = args.command
+        if name == "products":  # the task picks the schema and the runner
+            name = f"products.{cfg.get('task')}"
+            if name not in SCHEMAS:
+                raise ConfigError(f"unknown products task {cfg.get('task')!r}")
+        typed = _parse(cfg, SCHEMAS[name])
+        header, rows, mesh = RUNNERS[name](typed, args.seed)
     except ConfigError as exc:
         print(f"muntzlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

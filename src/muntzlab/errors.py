@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that
+every config reader uses."""
+
+import math
+import numbers
 
 
 class MuntzlabError(Exception):
@@ -26,3 +30,17 @@ class ConvergenceError(MuntzlabError):
     alternation certificate, or 60-digit arithmetic) fails as well, or when
     an LP solve itself fails.
     """
+
+
+def finite_number(value, what: str) -> float:
+    """`value` as a float; ConfigError for a bool, a non-number, NaN or
+    +-inf (an int too large for a float counts as infinite)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, not {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, not {value!r}")
+    return x

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from muntzlab.errors import ConfigError
+from muntzlab.errors import ConfigError, finite_number
 
 DENSITY_DIVERGES = "diverges"
 DENSITY_CONVERGES = "converges"
@@ -32,7 +32,7 @@ class ExponentSequence:
         elif self.kind == "explicit":
             if not self.values:
                 raise ConfigError("explicit sequence needs a non-empty list")
-            vals = tuple(float(v) for v in self.values)
+            vals = tuple(finite_number(v, "exponent") for v in self.values)
             if vals[0] != 0.0:
                 raise ConfigError("first exponent must be exactly 0")
             if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -57,7 +57,8 @@ class ExponentSequence:
 
 
 def arithmetic(step: float, description: str = "") -> ExponentSequence:
-    return ExponentSequence("arithmetic", step=float(step),
+    return ExponentSequence("arithmetic",
+                            step=finite_number(step, "arithmetic step"),
                             description=description or f"arithmetic({step})")
 
 
@@ -66,7 +67,12 @@ def squares(description: str = "") -> ExponentSequence:
 
 
 def explicit(values, description: str = "") -> ExponentSequence:
-    return ExponentSequence("explicit", values=tuple(float(v) for v in values),
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigError(
+            f"explicit exponents must be a list, not {values!r}") from None
+    return ExponentSequence("explicit", values=values,
                             description=description or "explicit")
 
 

@@ -421,7 +421,11 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
         last = {}
 
         def solve(ref):
-            a = mp.lu_solve(mp.matrix([B[i] for i in ref]), sigma)
+            try:
+                a = mp.lu_solve(mp.matrix([B[i] for i in ref]), sigma)
+            except ZeroDivisionError as exc:  # mpmath's "numerically singular"
+                raise ConditioningError(
+                    "singular reference system (mp)") from exc
             vals = [mp.fsum(B[i][j] * a[j] for j in range(m)) for i in range(N)]
             M = max(abs(v) for v in vals)
             last.update(a=a, M=M)

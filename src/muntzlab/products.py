@@ -135,17 +135,16 @@ def draw_alpha_samples(
     j: int = 0,
 ) -> list[MuntzPolynomial]:
     """The deterministic sample family behind estimate_alpha: `budget`
-    random span elements plus the growth extremals at the queries 0 and
-    (1-s)/2 for the endpoint constraint interval [1-s, 1]; both queries lie
-    outside it, so they share one set-Chebyshev extremal."""
+    random span elements plus the growth extremal at the query 0 for the
+    endpoint constraint interval [1-s, 1].  Every query in [0, 1-s) lies
+    outside that interval and shares this one set-Chebyshev extremal."""
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     exps = truncate(seq_j, n)
     rng = np.random.default_rng([seed, j])
     samples = sample_factors(exps, budget, rng, mesh)
     grid = discretize(normalize([[1.0 - s, 1.0]]), mesh)
-    queries = [0.0, 0.5 * (1.0 - s)]
-    samples.extend(r.extremal for r in growth_sweep(exps, grid, queries))
+    samples.append(growth_sweep(exps, grid, [0.0])[0].extremal)
     return [p for p in samples if max(abs(c) for c in p.coefficients) > 0]
 
 

@@ -9,13 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from muntzlab.errors import ConfigError
+from muntzlab.errors import ConfigError, finite_number
 
 MAX_CANTOR_LEVEL = 20  # 2^20 intervals; a level-60 set would exhaust memory
 # Cap on the cells sum (b - a) / mesh of one discretization, one grid point
-# each: a 1e6-point grid with a 13-column basis and its QR takes a few
-# hundred MB, while the tests and the benchmark use about 1e3 points.
-MAX_GRID_POINTS = 10**6
+# each.  Memory grows with grid x dimension: a density probe on [0, 1] with
+# arithmetic(1) peaked at 735 MiB with 1e6 points and 13 columns, and at
+# 144 MiB (13 columns) and 382 MiB (65 columns) with 1e5 points.  The tests
+# and the benchmark use about 1e3 points.
+MAX_GRID_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,26 @@ class Grid:
         return len(self.points)
 
 
+def _pair(p, what: str) -> tuple[float, float]:
+    """[a, b] as two finite floats, or ConfigError."""
+    try:
+        a, b = p
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{what} must be a pair [a, b] of numbers, not {p!r}") from None
+    return finite_number(a, what), finite_number(b, what)
+
+
 def normalize(raw) -> IntervalUnion:
     """Merge overlapping/adjacent closed intervals into a canonical union."""
+    try:
+        pairs = list(raw)
+    except TypeError:
+        raise ConfigError(
+            f"intervals must be a list of pairs [a, b], not {raw!r}") from None
     cleaned = []
-    for pair in raw:
-        a, b = float(pair[0]), float(pair[1])
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ConfigError("interval endpoints must be finite")
+    for pair in pairs:
+        a, b = _pair(pair, "interval")
         if a < 0:
             raise ConfigError("intervals must lie in [0, inf)")
         if a > b:
@@ -106,10 +121,7 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
     """
     if not 0 <= K <= MAX_CANTOR_LEVEL:
         raise ConfigError(f"level must lie in [0, {MAX_CANTOR_LEVEL}]")
-    try:
-        c0, c1 = (float(c) for c in carrier)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("carrier must be a pair [a, b] of numbers") from exc
+    c0, c1 = _pair(carrier, "carrier")
     if c0 < 0 or c1 < c0:
         raise ConfigError("carrier must be a valid interval in [0, inf)")
     pieces = [(0.0, 1.0)]
@@ -164,5 +176,8 @@ def union_from_json(obj: dict) -> IntervalUnion:
         unknown = set(spec) - {"level", "carrier"}
         if unknown:
             raise ConfigError(f"unknown fat_cantor fields: {sorted(unknown)}")
-        return fat_cantor(int(spec["level"]), spec.get("carrier", (0.0, 1.0)))
+        level = spec["level"]
+        if isinstance(level, bool) or not isinstance(level, int):
+            raise ConfigError(f"fat_cantor level must be an integer, not {level!r}")
+        return fat_cantor(level, spec.get("carrier", (0.0, 1.0)))
     raise ConfigError(f"unrecognized set descriptor: {sorted(obj)}")

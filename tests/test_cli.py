@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from muntzlab import cli
 from muntzlab.cli import main
 
 CLASSICAL_CFG = {"n_list": [1, 2], "s_list": [0.5], "mesh": 1e-3}
@@ -235,3 +245,173 @@ def test_console_entry_point():
         capture_output=True,
     )
     assert proc.returncode == 4
+
+
+# one small valid config per SCHEMAS entry, every optional field included
+VALID = {
+    "classical": {"n_list": [1], "s_list": [0.5], "mesh": 0.1},
+    "remez-constant": {"sequence": {"kind": "squares"}, "n_max": 1, "s": 0.25,
+                       "rho": 0.5, "mesh": 0.1,
+                       "family": [{"intervals": [[0.75, 1.0]]}]},
+    "density": {"target": "abs2x1", "sequence": {"kind": {"arithmetic": 1}},
+                "set": {"intervals": [[0, 1]]}, "n_list": [1], "mesh": 0.1},
+    "cantor": {"level": 1, "carrier": [0, 1]},
+    "products.alpha": {"task": "alpha", "sequences": [{"kind": "squares"}],
+                       "n": 1, "s": 0.25, "k": 1, "budget": 1, "mesh": 0.1},
+    "products.verify": {"task": "verify", "sequences": [{"kind": "squares"}],
+                        "n": 1, "s": 0.25, "rho": 0.5, "budget": 1,
+                        "alpha_budget": 1, "mesh": 0.1},
+    "products.search": {"task": "search", "sequences": [{"kind": "squares"}],
+                        "n": 1, "target": "monomial(2)", "rounds": 1,
+                        "restarts": 1, "mesh": 0.1},
+    "products.h4": {"task": "h4", "n_list": [5], "grid_points": 11},
+}
+
+# descriptors that both sequence_from_json and union_from_json refuse
+BAD_DESCRIPTORS = [
+    5, "x", None, [], {}, {"kind": "cubes"}, {"kind": {"arithmetic": "x"}},
+    {"kind": {"arithmetic": True}}, {"kind": {"explicit": ["a"]}},
+    {"kind": {"explicit": 5}}, {"intervals": [[0, "a"]]}, {"intervals": [0.5]},
+    {"intervals": 5}, {"fat_cantor": {"level": "x"}},
+    {"fat_cantor": {"level": 2.5}}, {"fat_cantor": {"level": True}},
+    {"fat_cantor": {"level": None}}, {"fat_cantor": {"level": 1, "carrier": [0, "b"]}},
+]
+
+
+def run_quiet(command, cfg):
+    """main() on a config file; the exit code and the stderr text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path)])
+    return code, err.getvalue()
+
+
+def assert_refused(command, cfg):
+    code, err = run_quiet(command, cfg)
+    assert code == 2, (cfg, err)
+    assert err.startswith("muntzlab: config error:"), err
+    assert err.count("\n") == 1, err
+
+
+def refused_values(f, valid):
+    """JSON values that the schema field `f` must refuse; `valid` is valid."""
+    if f.many:
+        one = f._replace(many=0)
+        return st.one_of(
+            st.just([]),
+            st.just([valid[0]] * (f.many + 1)),
+            refused_values(one, valid[0]).map(lambda v: [v]),
+            refused_values(one, valid[0]).filter(lambda v: not isinstance(v, list)),
+        )
+    if f.kind not in (int, float, str):
+        return st.sampled_from(BAD_DESCRIPTORS)
+    wrong = [st.none(), st.just([valid]), st.dictionaries(st.text(max_size=2),
+                                                          st.integers(), max_size=2)]
+    if f.kind is str:
+        return st.one_of(*wrong, st.booleans(), st.integers(), st.floats())
+    wrong += [st.booleans(), st.text(max_size=3),
+              st.sampled_from([math.nan, math.inf, -math.inf])]
+    if f.kind is int:
+        wrong += [st.floats(allow_nan=False, allow_infinity=False),
+                  st.integers(max_value=f.lo - 1)]
+        if math.isfinite(f.hi):
+            wrong.append(st.integers(min_value=f.hi + 1, max_value=f.hi + 10**6))
+    else:
+        # -0.0 == 0.0 lies in a range that starts at 0
+        wrong.append(st.floats(max_value=f.lo, allow_nan=False,
+                               allow_infinity=False).filter(lambda x: x < f.lo))
+        if math.isfinite(f.hi):
+            wrong.append(st.floats(min_value=f.hi, allow_nan=False,
+                                   allow_infinity=False).filter(lambda x: x > f.hi))
+    return st.one_of(*wrong)
+
+
+@st.composite
+def one_bad_field(draw):
+    name = draw(st.sampled_from(sorted(VALID)))
+    field = draw(st.sampled_from(sorted(k for k in cli.SCHEMAS[name] if k != "task")))
+    cfg = dict(VALID[name])
+    cfg[field] = draw(refused_values(cli.SCHEMAS[name][field], cfg[field]))
+    return name.split(".")[0], cfg
+
+
+def test_schemas_cover_the_valid_configs_and_runners():
+    assert set(VALID) == set(cli.SCHEMAS) == set(cli.RUNNERS)
+    for name, cfg in VALID.items():
+        assert set(cfg) == set(cli.SCHEMAS[name])
+        code, err = run_quiet(name.split(".")[0], cfg)
+        assert code == 0, (name, err)
+
+
+@given(one_bad_field())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_a_refused_field_gives_exit_2_and_one_line(case):
+    assert_refused(*case)
+
+
+# malformed configs: each replaces one field of a VALID config, or (field
+# None) is the whole config
+PROBES = [
+    ("classical", "n_list", ["ab"]), ("classical", "n_list", [-1]),
+    ("classical", "n_list", [True, 2]), ("classical", "n_list", [1.7]),
+    ("classical", "n_list", 3), ("classical", "s_list", ["x"]),
+    ("classical", "s_list", [math.nan]), ("classical", "mesh", "x"),
+    ("classical", "mesh", -1), ("classical", "mesh", math.inf),
+    ("remez-constant", "n_max", "x"), ("remez-constant", "n_max", -1),
+    ("remez-constant", "n_max", cli.MAX_DIM + 1), ("remez-constant", "s", None),
+    ("remez-constant", "rho", "x"), ("remez-constant", "sequence", 5),
+    ("remez-constant", "sequence", {"kind": {"arithmetic": "x"}}),
+    ("remez-constant", "sequence", {"kind": {"explicit": ["a"]}}),
+    ("remez-constant", "sequence", {"kind": {"arithmetic": True}}),
+    ("remez-constant", "family", 5),
+    ("remez-constant", "family", [{"intervals": [[0.75, "a"]]}]),
+    ("density", "set", {"intervals": [[0, "a"]]}),
+    ("density", "set", {"intervals": [0.5]}),
+    ("density", "set", {"fat_cantor": {"level": "x"}}),
+    ("density", "set", {"fat_cantor": {"level": 2.5}}),
+    ("density", "set", {"fat_cantor": {"level": True}}),
+    ("density", "set", {"fat_cantor": {"level": None}}),
+    ("density", "target", 5), ("density", "n_list", []),
+    ("cantor", "level", None), ("cantor", "level", 2.5),
+    ("cantor", "level", True), ("cantor", "level", "x"),
+    ("cantor", "level", 21), ("cantor", "carrier", ["a", 1]),
+    ("products.alpha", "sequences", 5), ("products.alpha", "k", 0),
+    ("products.alpha", "budget", 0), ("products.alpha", "n", True),
+    ("products.alpha", "sequences", [{"kind": "squares"}] * (cli.MAX_FACTORS + 1)),
+    ("products.verify", "alpha_budget", "x"), ("products.verify", "rho", -0.5),
+    ("products.search", "restarts", 1.5),
+    ("products.search", "rounds", cli.MAX_COUNT + 1),
+    ("products.search", "target", None),
+    ("products.h4", "n_list", [cli.MAX_DEGREE + 1]),
+    ("products.h4", "n_list", ["5"]), ("products.h4", "grid_points", "x"),
+    ("products.h4", "n_list", list(range(cli.MAX_LIST + 1))),
+    ("products.alpha", None, [1]), ("products.alpha", None, {"task": 5}),
+    ("products.alpha", None, {"task": ["alpha"]}),
+]
+
+
+@pytest.mark.parametrize("name, field, value", PROBES)
+def test_probe_config_is_refused_in_one_line(name, field, value):
+    cfg = value if field is None else dict(VALID[name], **{field: value})
+    assert_refused(name.split(".")[0], cfg)
+
+
+def test_readme_examples_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    pairs = re.findall(r"echo '([^']*)' > cfg\.json\n(muntzlab [^\n]*)",
+                       readme.read_text(encoding="utf-8"))
+    assert len(pairs) == 5
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg, command in pairs:
+            args = shlex.split(command)[1:]
+            path = Path(tmp) / "cfg.json"
+            path.write_text(cfg)
+            args[args.index("--config") + 1] = str(path)
+            if "--out" in args:
+                args[args.index("--out") + 1] = str(Path(tmp) / "out.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(args) == 0, command

@@ -100,3 +100,8 @@ def test_json_rejects_garbage():
         sequence_from_json([1, 2, 3])
     with pytest.raises(ConfigError):
         sequence_from_json({"kind": {"arithmetic": 1.0, "explicit": [0]}})
+    for kind in ({"arithmetic": "x"}, {"arithmetic": True},
+                 {"arithmetic": float("nan")}, {"explicit": ["a"]},
+                 {"explicit": [0, True]}, {"explicit": 5}):
+        with pytest.raises(ConfigError):
+            sequence_from_json({"kind": kind})

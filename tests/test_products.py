@@ -362,3 +362,14 @@ def test_search_matches_plain_descent_through_dead_products(monkeypatch, k,
     oracle = plain_coordinate_descent(f, x, spec, **args)
     assert len(oracle_calls) < k * args["rounds"] * args["restarts"]
     assert_same_bits(rep, oracle)
+
+
+def test_alpha_samples_hold_one_extremal_and_keep_alpha():
+    # the README products example: budget 25 random samples plus the one
+    # set-Chebyshev extremal that every query in [0, 1 - s) shares
+    samples = draw_alpha_samples(squares(), 4, 0.25, 25, seed=42, mesh=1e-3)
+    assert len(samples) == 26
+    assert len({p.coefficients for p in samples}) == len(samples)
+    est = estimate_alpha(squares(), 4, 0.25, 1, 25, 42, 1e-3)
+    assert est.alpha == 1217.7480857627863
+    assert est.sample_count == 26

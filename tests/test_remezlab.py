@@ -149,3 +149,13 @@ def test_density_probe_accepts_callable():
     res = density_probe(lambda x: x ** 3, arithmetic(1.0),
                         normalize([[0.0, 1.0]]), [3], 1e-2)
     assert res.errors_by_n[0][1] <= 1e-9  # x^3 lies in the span
+
+
+def test_remez_constant_singular_mp_system_is_a_conditioning_error():
+    # squares at n = 30 reach the 60-digit route, whose reference system is
+    # singular to 60 digits; that is a ConditioningError, not ZeroDivisionError
+    from muntzlab.errors import ConditioningError
+
+    with pytest.raises(ConditioningError, match=r"\(mp\)"):
+        remez_constant_estimate(squares(), 30, 0.25, 0.5,
+                                default_set_family(0.25, 0.5), 1e-3)

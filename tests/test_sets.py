@@ -41,6 +41,9 @@ def test_normalize_rejects_bad_input():
         normalize([[0.5, 0.2]])
     with pytest.raises(ConfigError):
         normalize([[0.0, float("inf")]])
+    for raw in ([[0, "a"]], [0.5], [[0.0]], [[0.0, 1.0, 2.0]], [[False, 1]], 5):
+        with pytest.raises(ConfigError):
+            normalize(raw)
 
 
 @given(intervals_strategy())
@@ -162,6 +165,11 @@ def test_union_json_roundtrip():
         union_from_json({"intervals": [[0, 1]], "extra": 1})
     with pytest.raises(ConfigError):
         union_from_json({"fat_cantor": {"level": 2, "bogus": 0}})
+    for level in ("x", 2.5, True, None):
+        with pytest.raises(ConfigError):
+            union_from_json({"fat_cantor": {"level": level}})
+    with pytest.raises(ConfigError):
+        union_from_json({"fat_cantor": {"level": 2, "carrier": [0, "b"]}})
 
 
 def test_measure_helper():
