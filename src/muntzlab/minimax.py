@@ -11,8 +11,8 @@ Two solvers share one orthonormalization front end:
   grid point and one LP with a checked duality certificate elsewhere.
 
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
-arithmetic) runs in the one loop _exchange; the solvers supply only the
-reference solve and the choice of the next reference.
+decimal arithmetic) runs in the one loop _exchange; the solvers supply only
+the reference solve and the choice of the next reference.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -24,6 +24,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
+from operator import mul
 
 import numpy as np
 from scipy.optimize import linprog
@@ -365,9 +367,8 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
     element alternating between +-1 at dimension many grid points with
     sup-norm 1.  Found by Remez-style exchange in Q coordinates.
 
-    Returns (b, ref): coordinates with max |Q b| = 1 (within tol) and the
-    alternation indices.  Raises ConvergenceError when a reference repeats
-    or after max_iter steps.
+    Returns coordinates b with max |Q b| = 1 (within tol).  Raises
+    ConvergenceError when a reference repeats or after max_iter steps.
     """
     N, m = Q.shape
     sigma = np.array([(-1.0) ** i for i in range(m)])
@@ -383,17 +384,51 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
         last.update(b=b, M=M)
         return vals, M, M <= 1.0 + tol
 
-    ref, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
-                             _trim_reference(ext, vals, m), max_iter, "M")
+    _, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
+                           _trim_reference(ext, vals, m), max_iter, "M")
     if failure is not None:
         raise ConvergenceError(f"set-Chebyshev {failure}")
     b, M = last["b"], last["M"]
     if M > 1.0 + tol:
         b = b / M  # stationary without certifying M = 1: rescale to feasible
-    return b, ref
+    return b
 
 
-MP_VALUE_THRESHOLD = 1e8  # route growth values above this through mpmath
+MP_VALUE_THRESHOLD = 1e8  # growth values above this take the 60-digit route
+MP_DIGITS = 60
+
+
+def _decimal_powers(x: float, exps) -> list[Decimal]:
+    """x^e for every exponent e at the current decimal precision, with
+    0^0 = 1.  A non-integer Decimal power goes through exp and ln, so it is
+    taken once per distinct fractional part of the exponents and multiplied
+    by an integer power."""
+    if not x > 0:
+        return [Decimal(int(e == 0)) for e in exps]
+    d = Decimal(x)
+    roots = {f: d ** Decimal(f) for f in {e - math.floor(e) for e in exps}}
+    return [roots[e - math.floor(e)] * d ** math.floor(e) for e in exps]
+
+
+def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
+    """A a = b by Gaussian elimination with partial pivoting at the current
+    decimal precision.  A pivot of at most 10^-MP_DIGITS ||A||_1 means A is
+    singular to working precision: ConditioningError."""
+    n = len(b)
+    tol = max(sum(abs(row[j]) for row in A) for j in range(n)).scaleb(-MP_DIGITS)
+    M = [row + [bi] for row, bi in zip(A, b)]
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(M[i][j]))
+        if abs(M[p][j]) <= tol:
+            raise ConditioningError("singular reference system (mp)")
+        M[j], M[p] = M[p], M[j]
+        for i in range(j + 1, n):
+            f = M[i][j] / M[j][j]
+            M[i][j + 1:] = [u - f * v for u, v in zip(M[i][j + 1:], M[j][j + 1:])]
+    a = [Decimal(0)] * n
+    for j in reversed(range(n)):
+        a[j] = (M[j][n] - sum(map(mul, M[j][j + 1:n], a[j + 1:]))) / M[j][j]
+    return a
 
 
 def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
@@ -404,50 +439,34 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
     Growth values of ~1e10 and beyond span more decades between grid and
     query than a double-precision basis can carry (any eps-level basis
     perturbation wrecks the query value), so the alternation solve and the
-    query evaluation run in 60-digit arithmetic and only the final scalars
-    come back as floats.
+    query evaluation run in MP_DIGITS-digit decimal arithmetic and only the
+    final scalars come back as floats.
 
-    Returns (values at queries, extremal coefficients, reference indices).
+    Returns (values at queries, extremal coefficients).
     """
-    import mpmath as mp
-
     m = len(exps)
-    N = len(x)
-    with mp.workdps(60):
-        B = [[mp.power(mp.mpf(float(xi)), mp.mpf(float(e))) if xi > 0
-              else (mp.mpf(1) if e == 0 else mp.mpf(0))
-              for e in exps] for xi in x]
-        sigma = mp.matrix([mp.mpf((-1.0) ** i) for i in range(m)])
+    with localcontext(Context(prec=MP_DIGITS)):
+        B = [_decimal_powers(float(xi), exps) for xi in x]
+        sigma = [Decimal((-1) ** i) for i in range(m)]
+        bound = 1 + Decimal(tol)
         last = {}
 
         def solve(ref):
-            try:
-                a = mp.lu_solve(mp.matrix([B[i] for i in ref]), sigma)
-            except ZeroDivisionError as exc:  # mpmath's "numerically singular"
-                raise ConditioningError(
-                    "singular reference system (mp)") from exc
-            vals = [mp.fsum(B[i][j] * a[j] for j in range(m)) for i in range(N)]
-            M = max(abs(v) for v in vals)
+            a = _decimal_solve([B[i] for i in ref], sigma)
+            vals = [sum(map(mul, row, a)) for row in B]
+            M = max(map(abs, vals))
             last.update(a=a, M=M)
-            return (np.array([float(v) for v in vals]), float(M),
-                    M <= 1 + mp.mpf(tol))
+            return np.array(vals, dtype=float), float(M), M <= bound
 
-        ref, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
-                                 _trim_reference(ext, vals, m), max_iter, "M")
+        _, failure = _exchange(len(x), m, solve, lambda ref, ext, vals, M:
+                               _trim_reference(ext, vals, m), max_iter, "M")
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
         a, M = last["a"], last["M"]
-        values = []
-        for y in queries:
-            ym = mp.mpf(float(y))
-            py = mp.fsum(
-                (mp.power(ym, mp.mpf(float(e))) if y > 0
-                 else (mp.mpf(1) if e == 0 else mp.mpf(0))) * a[j]
-                for j, e in enumerate(exps)
-            )
-            values.append(float(abs(py) / M))
-        coeffs = [float(a[j] / M) for j in range(m)]
-    return values, coeffs, ref
+        values = [float(abs(sum(map(mul, _decimal_powers(float(y), exps), a))) / M)
+                  for y in queries]
+        coeffs = [float(aj / M) for aj in a]
+    return values, coeffs
 
 
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
@@ -486,7 +505,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     mp_results = None
     if any(outside):
         try:
-            cheb_b, _ = _set_chebyshev(Q, tol=1e-10)
+            cheb_b = _set_chebyshev(Q, tol=1e-10)
         except ConvergenceError:
             # the double-precision exchange can cycle on ill-conditioned
             # references; the 60-digit route solves the same problem
@@ -497,7 +516,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
         if peak > MP_VALUE_THRESHOLD:
             # beyond double-precision reach: redo in 60-digit arithmetic
             out_ys = [y for y, o in zip(ys, outside) if o]
-            vals, mp_coeffs, _ = _set_chebyshev_mp(x, exps, out_ys)
+            vals, mp_coeffs = _set_chebyshev_mp(x, exps, out_ys)
             mp_results = dict(zip(out_ys, vals))
 
     def extremal(coeffs, on_grid):

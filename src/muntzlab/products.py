@@ -4,6 +4,7 @@ monomial witnesses, and a coordinate-descent non-density search."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -384,16 +385,10 @@ def product_approx_search(
     |f| there; no division by g ever happens.  best_error_by_round is the
     running best over all restarts, nonincreasing by construction.
 
-    Within a restart each factor keeps its last LP answer (c_new, err),
-    keyed on the version numbers of the other factors; a version rises
-    only when that factor's coefficients change bit for bit (an accepted
-    c_new that differs from the old one, or a dead-product perturbation).
-    While no other factor has changed, g and the LP input B = g * V[j] are
-    the same bits as before, and an identical LP input gives an identical
-    output, so the stored answer is used and no LP is solved.  The
-    acceptance test, the dead-product perturbation and the random draws
-    are as without the cache, so the trace and the factors are the same
-    bits.
+    Within a restart each LP answer (c_new, err) is kept under its input:
+    B = g * V[j] is a function of j and g, keyed by (j, a digest of g's
+    bytes).  An identical LP input gives an identical output, so a repeated
+    key solves no LP and the trace and the factors are the same bits.
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
@@ -420,30 +415,23 @@ def product_approx_search(
             coeffs.append(c)
         F = [V[j] @ coeffs[j] for j in range(spec.k)]
         cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
-        version = [0] * spec.k
-        last_lp = [None] * spec.k  # (versions of the other factors, c_new, err)
+        lps = {}  # (j, sha256 of g) -> (c_new, err)
         for t in range(rounds):
             for j in range(spec.k):
-                others = version[:j] + version[j + 1:]
-                if last_lp[j] is not None and last_lp[j][0] == others:
-                    _, c_new, err = last_lp[j]
-                else:
-                    g = np.prod([F[i] for i in range(spec.k) if i != j], axis=0) \
-                        if spec.k > 1 else np.ones_like(x)
+                g = np.prod([F[i] for i in range(spec.k) if i != j], axis=0) \
+                    if spec.k > 1 else np.ones_like(x)
+                key = (j, hashlib.sha256(g.tobytes()).digest())
+                if key not in lps:
                     if not np.any(g):
                         # dead product: perturb this factor's complement
                         for i in range(spec.k):
                             if i != j:
                                 coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
                                 F[i] = V[i] @ coeffs[i]
-                                version[i] += 1
                         continue
-                    B = g[:, None] * V[j]
-                    c_new, err = discrete_minimax_lp(B, f)
-                    last_lp[j] = (others, c_new, err)
+                    lps[key] = discrete_minimax_lp(g[:, None] * V[j], f)
+                c_new, err = lps[key]
                 if err <= cur:
-                    if c_new.tobytes() != coeffs[j].tobytes():
-                        version[j] += 1
                     coeffs[j] = c_new
                     F[j] = V[j] @ c_new
                     cur = err

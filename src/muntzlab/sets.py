@@ -12,11 +12,13 @@ import numpy as np
 from muntzlab.errors import ConfigError, finite_number
 
 MAX_CANTOR_LEVEL = 20  # 2^20 intervals; a level-60 set would exhaust memory
-# Cap on the cells sum (b - a) / mesh of one discretization, one grid point
-# each.  Memory grows with grid x dimension: a density probe on [0, 1] with
-# arithmetic(1) peaked at 735 MiB with 1e6 points and 13 columns, and at
-# 144 MiB (13 columns) and 382 MiB (65 columns) with 1e5 points.  The tests
-# and the benchmark use about 1e3 points.
+# Cap on the cells of one discretization, one grid point each: an interval
+# counts max(1, (b - a) / mesh) cells, a singleton one, so a grid has fewer
+# than 3 * MAX_GRID_POINTS points however many intervals it has.  Memory
+# grows with grid x dimension: a density probe on [0, 1] with arithmetic(1)
+# peaked at 735 MiB with 1e6 points and 13 columns, and at 144 MiB
+# (13 columns) and 382 MiB (65 columns) with 1e5 points.  The tests and the
+# benchmark use about 1e3 points.
 MAX_GRID_POINTS = 10**5
 
 
@@ -140,11 +142,12 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
 def discretize(A: IntervalUnion, mesh: float) -> Grid:
     """Uniform subdivision of each interval at spacing <= mesh; degenerate
     singletons contribute their single point.  A mesh that would give more
-    than MAX_GRID_POINTS cells is refused before any point is built."""
+    than MAX_GRID_POINTS cells, each interval counting at least one, is
+    refused before any point is built."""
     if not mesh > 0:  # NaN too
         raise ConfigError("mesh must be positive")
     cells = [(b - a) / mesh for a, b in A.intervals]
-    if not sum(cells) <= MAX_GRID_POINTS:  # inf too
+    if not sum(max(1.0, n) for n in cells) <= MAX_GRID_POINTS:  # inf too
         raise ConfigError(
             f"mesh {mesh!r} gives more than {MAX_GRID_POINTS} grid points")
     pts: list[float] = []

@@ -1,5 +1,7 @@
 import itertools
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -433,6 +435,28 @@ def test_set_chebyshev_mp_names_the_iteration_cap():
                        match=re.escape("(mp) no convergence within 1")):
         minimax._set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0],
                                   max_iter=1)
+
+
+def test_growth_half_step_exponents_take_the_60_digit_route():
+    # [DERIVED] non-integer exponents through the 60-digit route; the value
+    # is the one an mpmath (60 dps) implementation of the same route gave
+    g = discretize(normalize([[0.75, 1.0]]), 1e-3)
+    res = growth_functional(truncate(arithmetic(0.5), 8), g, 0.0)
+    assert res.value > minimax.MP_VALUE_THRESHOLD
+    assert res.value == pytest.approx(179474789464.95975, rel=1e-12)
+
+
+def test_60_digit_route_imports_no_mpmath():
+    code = (
+        "import sys\n"
+        "from muntzlab.minimax import growth_functional\n"
+        "from muntzlab.sets import discretize, normalize\n"
+        "g = discretize(normalize([[0.75, 1.0]]), 1e-3)\n"
+        "assert growth_functional(list(range(12)), g, 0.0).value > 1e8\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------- general minimax LP

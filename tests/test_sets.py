@@ -145,6 +145,15 @@ def test_discretize_refuses_a_grid_beyond_the_cap(mesh):
         discretize(normalize([[0.0, 1.0]]), mesh)
 
 
+def test_discretize_counts_every_interval_toward_the_cap():
+    # each singleton is a grid point, though it spans no cell: 150,000 of
+    # them plus [0.8, 1] would build 150,021 points
+    dust = [[i * 1e-6, i * 1e-6] for i in range(150_000)]
+    with pytest.raises(ConfigError, match="grid points"):
+        discretize(normalize(dust + [[0.8, 1.0]]), 0.01)
+    assert len(discretize(normalize([[0.0, 1.0]]), 1e-5)) == MAX_GRID_POINTS + 1
+
+
 @given(intervals_strategy(),
        st.floats(min_value=0.01, max_value=0.5, allow_nan=False))
 @settings(max_examples=60)
