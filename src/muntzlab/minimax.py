@@ -104,48 +104,47 @@ def orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _alternating_extrema(r: np.ndarray) -> list[int]:
     """Indices of per-sign-run maxima of |r|: an alternating extremum
-    sequence containing the global argmax (smallest-index tie-break)."""
-    out: list[int] = []
-    cur_sign = 0.0
-    cur_best = -1
-    for i, ri in enumerate(r):
-        s = math.copysign(1.0, ri) if ri != 0.0 else 0.0
-        if s == 0.0:
-            continue
-        if s != cur_sign:
-            if cur_best >= 0:
-                out.append(cur_best)
-            cur_sign = s
-            cur_best = i
-        elif abs(ri) > abs(r[cur_best]):
-            cur_best = i
-    if cur_best >= 0:
-        out.append(cur_best)
-    return out
+    sequence containing the global argmax (smallest-index tie-break).
+    Zeros belong to no run and do not end one.  A residual that is not
+    finite has no sign runs: ConditioningError."""
+    if not np.all(np.isfinite(r)):
+        raise ConditioningError("residual is not finite")
+    nz = np.flatnonzero(r)
+    if nz.size == 0:
+        return []
+    v = r[nz]
+    a = np.abs(v)
+    neg = np.signbit(v)
+    new_run = np.concatenate(([True], neg[1:] != neg[:-1]))
+    run = np.cumsum(new_run) - 1
+    peak = np.maximum.reduceat(a, np.flatnonzero(new_run))
+    at_peak = np.flatnonzero(a == peak[run])
+    first = np.concatenate(([True], run[at_peak[1:]] != run[at_peak[:-1]]))
+    return nz[at_peak[first]].tolist()
 
 
 def _trim_reference(ext: list[int], r: np.ndarray, size: int) -> list[int]:
     """Shrink an alternating extremum list to `size` points, preserving
-    alternation and the global maximum."""
+    alternation and the global maximum: while two or more points too many
+    remain, drop the adjacent pair with the smallest peak (the first on a
+    tie); with one too many, drop the weaker endpoint (the first on a tie)."""
     ext = list(ext)
-    while len(ext) > size:
-        if len(ext) - size == 1:
-            # drop the weaker endpoint
-            if abs(r[ext[0]]) <= abs(r[ext[-1]]):
-                ext.pop(0)
-            else:
-                ext.pop()
-        else:
-            # drop the adjacent pair with the smallest peak
-            pair = min(
-                range(len(ext) - 1),
-                key=lambda i: max(abs(r[ext[i]]), abs(r[ext[i + 1]])),
-            )
-            del ext[pair:pair + 2]
+    a = np.abs(r[ext]).tolist()
+    # peak[i] = max(a[i], a[i + 1]); dropping the pair i turns the pairs
+    # i - 1, i and i + 1 into the one pair (i - 1, i + 2)
+    peak = [max(u, v) for u, v in zip(a, a[1:])]
+    while len(ext) > size + 1:
+        i = peak.index(min(peak))
+        peak[max(i - 1, 0):i + 2] = \
+            [max(a[i - 1], a[i + 2])] if 0 < i < len(a) - 2 else []
+        del ext[i:i + 2], a[i:i + 2]
+    if len(ext) > size:
+        ext = ext[1:] if a[0] <= a[-1] else ext[:-1]
     return ext
 
 
-def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str):
+def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str,
+              start: list[int] | None = None):
     """The one reference-exchange loop on an N-point grid.  The exchange
     solvers differ only in the two functions they pass:
 
@@ -155,17 +154,21 @@ def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str):
     * propose(ref, ext, r, level) -> the next reference, given the
       alternating extrema `ext` (at least `size` of them) of the residual r.
 
-    Starts from `size` evenly spread indices and stops when solve is done,
-    when r has fewer than `size` alternating extrema, or when the reference
-    does not move.  The next reference is a function of the current one
-    alone, so a repeated reference means a cycle for good.  Returns (last
-    solved reference, failure): failure is None, or a message naming the
-    cycle or the max_iter cap.
+    Starts from the reference `start`, or by default from `size` evenly
+    spread indices, and stops when solve is done, when r has fewer than
+    `size` alternating extrema, or when the reference does not move.  The
+    next reference is a function of the current one alone, so a repeated
+    reference means a cycle for good.  Returns (last solved reference,
+    failure): failure is None, or a message naming the cycle or the
+    max_iter cap.
     """
-    ref = sorted(set(np.linspace(0, N - 1, size).round().astype(int)))
-    if len(ref) < size:  # collisions only on near-minimal grids
-        pool = [i for i in range(N) if i not in ref]
-        ref = sorted(ref + pool[: size - len(ref)])
+    if start is not None:
+        ref = list(start)
+    else:
+        ref = sorted(set(np.linspace(0, N - 1, size).round().astype(int)))
+        if len(ref) < size:  # collisions only on near-minimal grids
+            pool = [i for i in range(N) if i not in ref]
+            ref = sorted(ref + pool[: size - len(ref)])
     seen: dict[tuple[int, ...], int] = {}
     levels: list[float] = []
     for step in range(max_iter):
@@ -180,12 +183,12 @@ def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str):
         new_ref = propose(ref, ext, r, level)
         if new_ref == ref:
             return ref, None
-        start = seen.get(tuple(new_ref))
-        if start is not None:
-            cyc = levels[start:]
+        first = seen.get(tuple(new_ref))
+        if first is not None:
+            cyc = levels[first:]
             return ref, (
                 f"exchange fell into a {len(cyc)}-cycle of references at step "
-                f"{start} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
+                f"{first} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
         ref = new_ref
     return ref, f"no convergence within {max_iter} exchanges"
 
@@ -262,13 +265,15 @@ def best_uniform_approx(
 
     sigma = np.array([(-1.0) ** i for i in range(m + 1)])
     last = {}
+    proposed = {}  # tuple(ref) -> the guard's solution on the proposed ref
 
     def solve(ref):
-        A = np.column_stack([Q[ref], sigma])
-        try:
-            sol = np.linalg.solve(A, f[ref])
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError("singular reference system") from exc
+        sol = proposed.pop(tuple(ref), None)
+        if sol is None:
+            try:
+                sol = np.linalg.solve(np.column_stack([Q[ref], sigma]), f[ref])
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError("singular reference system") from exc
         b, E = sol[:m], sol[m]
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
@@ -286,12 +291,13 @@ def best_uniform_approx(
         new_ref = _trim_reference(ext, r, m + 1)
         if new_ref != ref:
             try:
-                E_new = np.linalg.solve(np.column_stack([Q[new_ref], sigma]),
-                                        f[new_ref])[m]
+                sol = np.linalg.solve(np.column_stack([Q[new_ref], sigma]),
+                                      f[new_ref])
             except np.linalg.LinAlgError:
-                E_new = 0.0
-            if abs(E_new) <= E * (1.0 + 1e-13):
-                new_ref = _single_exchange(ref, r)
+                sol = None
+            if sol is None or abs(sol[m]) <= E * (1.0 + 1e-13):
+                return _single_exchange(ref, r)
+            proposed[tuple(new_ref)] = sol  # solve(new_ref) reuses it
             return new_ref
         return _single_exchange(ref, r)
 
@@ -367,8 +373,9 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
     element alternating between +-1 at dimension many grid points with
     sup-norm 1.  Found by Remez-style exchange in Q coordinates.
 
-    Returns coordinates b with max |Q b| = 1 (within tol).  Raises
-    ConvergenceError when a reference repeats or after max_iter steps.
+    Returns (b, ref): coordinates b with max |Q b| = 1 (within tol) and
+    the reference the exchange stopped on.  Raises ConvergenceError when a
+    reference repeats or after max_iter steps.
     """
     N, m = Q.shape
     sigma = np.array([(-1.0) ** i for i in range(m)])
@@ -384,14 +391,14 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
         last.update(b=b, M=M)
         return vals, M, M <= 1.0 + tol
 
-    _, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
-                           _trim_reference(ext, vals, m), max_iter, "M")
+    ref, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
+                             _trim_reference(ext, vals, m), max_iter, "M")
     if failure is not None:
         raise ConvergenceError(f"set-Chebyshev {failure}")
     b, M = last["b"], last["M"]
     if M > 1.0 + tol:
         b = b / M  # stationary without certifying M = 1: rescale to feasible
-    return b
+    return b, ref
 
 
 MP_VALUE_THRESHOLD = 1e8  # growth values above this take the 60-digit route
@@ -432,7 +439,8 @@ def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
 
 
 def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
-                      max_iter: int = MAX_EXCHANGES):
+                      max_iter: int = MAX_EXCHANGES,
+                      start: list[int] | None = None):
     """High-precision variant of _set_chebyshev working directly in the
     monomial basis.
 
@@ -442,7 +450,9 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
     query evaluation run in MP_DIGITS-digit decimal arithmetic and only the
     final scalars come back as floats.
 
-    Returns (values at queries, extremal coefficients).
+    The exchange starts from the reference `start` (the one the double
+    exchange stopped on), or by default from an even spread.  Returns
+    (values at queries, extremal coefficients).
     """
     m = len(exps)
     with localcontext(Context(prec=MP_DIGITS)):
@@ -459,7 +469,8 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
             return np.array(vals, dtype=float), float(M), M <= bound
 
         _, failure = _exchange(len(x), m, solve, lambda ref, ext, vals, M:
-                               _trim_reference(ext, vals, m), max_iter, "M")
+                               _trim_reference(ext, vals, m), max_iter, "M",
+                               start)
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
         a, M = last["a"], last["M"]
@@ -501,22 +512,24 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     # One shared extremal serves every query outside the constraint hull:
     # the generalized Chebyshev element of the span on the grid.
     outside = [y < lo or y > hi for y in ys]
-    cheb_b = None
+    cheb_b = cheb_ref = None
     mp_results = None
     if any(outside):
         try:
-            cheb_b = _set_chebyshev(Q, tol=1e-10)
+            cheb_b, cheb_ref = _set_chebyshev(Q, tol=1e-10)
         except ConvergenceError:
             # the double-precision exchange can cycle on ill-conditioned
-            # references; the 60-digit route solves the same problem
-            cheb_b = None
+            # references; the 60-digit route solves the same problem,
+            # starting from the even spread
+            pass
         peak = math.inf if cheb_b is None else max(
             abs(float(Qall[len(x) + i] @ cheb_b))
             for i, y in enumerate(ys) if outside[i])
         if peak > MP_VALUE_THRESHOLD:
             # beyond double-precision reach: redo in 60-digit arithmetic
             out_ys = [y for y, o in zip(ys, outside) if o]
-            vals, mp_coeffs = _set_chebyshev_mp(x, exps, out_ys)
+            vals, mp_coeffs = _set_chebyshev_mp(x, exps, out_ys,
+                                                start=cheb_ref)
             mp_results = dict(zip(out_ys, vals))
 
     def extremal(coeffs, on_grid):
@@ -588,8 +601,10 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float
         [-Q, -np.ones((N, 1))],
     ])
     b_ub = np.concatenate([f, -f])
+    # presolve removes nothing from this dense LP and only costs time
     res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * k + [(0, None)], method="highs")
+                  bounds=[(None, None)] * k + [(0, None)], method="highs",
+                  options={"presolve": False})
     if res.status != 0:
         raise ConvergenceError(f"minimax LP failed: {res.message}")
     b = res.x[:k]

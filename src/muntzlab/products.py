@@ -385,10 +385,11 @@ def product_approx_search(
     |f| there; no division by g ever happens.  best_error_by_round is the
     running best over all restarts, nonincreasing by construction.
 
-    Within a restart each LP answer (c_new, err) is kept under its input:
-    B = g * V[j] is a function of j and g, keyed by (j, a digest of g's
-    bytes).  An identical LP input gives an identical output, so a repeated
-    key solves no LP and the trace and the factors are the same bits.
+    Within a restart each LP answer (c_new, err) is kept under a digest of
+    its input B = g * V[j] (f is fixed).  An identical LP input gives an
+    identical output, so a repeated input, of this factor or of another one
+    with the same space, solves no LP and the trace and the factors are the
+    same bits.
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
@@ -415,12 +416,13 @@ def product_approx_search(
             coeffs.append(c)
         F = [V[j] @ coeffs[j] for j in range(spec.k)]
         cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
-        lps = {}  # (j, sha256 of g) -> (c_new, err)
+        lps = {}  # sha256 of B -> (c_new, err)
         for t in range(rounds):
             for j in range(spec.k):
                 g = np.prod([F[i] for i in range(spec.k) if i != j], axis=0) \
                     if spec.k > 1 else np.ones_like(x)
-                key = (j, hashlib.sha256(g.tobytes()).digest())
+                B = g[:, None] * V[j]
+                key = hashlib.sha256(B.tobytes()).digest()
                 if key not in lps:
                     if not np.any(g):
                         # dead product: perturb this factor's complement
@@ -429,7 +431,7 @@ def product_approx_search(
                                 coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
                                 F[i] = V[i] @ coeffs[i]
                         continue
-                    lps[key] = discrete_minimax_lp(g[:, None] * V[j], f)
+                    lps[key] = discrete_minimax_lp(B, f)
                 c_new, err = lps[key]
                 if err <= cur:
                     coeffs[j] = c_new

@@ -1,10 +1,13 @@
 import itertools
+import math
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muntzlab.minimax as minimax
 from muntzlab.errors import (
@@ -46,6 +49,48 @@ def brute_force_minimax(x, f, exps):
             continue
         best = max(best, abs(sol[m]))
     return best
+
+
+def loop_alternating_extrema(r):
+    """Reference for minimax._alternating_extrema: the per-point loop it
+    replaced."""
+    out = []
+    cur_sign = 0.0
+    cur_best = -1
+    for i, ri in enumerate(r):
+        s = math.copysign(1.0, ri) if ri != 0.0 else 0.0
+        if s == 0.0:
+            continue
+        if s != cur_sign:
+            if cur_best >= 0:
+                out.append(cur_best)
+            cur_sign = s
+            cur_best = i
+        elif abs(ri) > abs(r[cur_best]):
+            cur_best = i
+    if cur_best >= 0:
+        out.append(cur_best)
+    return out
+
+
+def loop_trim_reference(ext, r, size):
+    """Reference for minimax._trim_reference: the loop it replaced."""
+    ext = list(ext)
+    while len(ext) > size:
+        if len(ext) - size == 1:
+            # drop the weaker endpoint
+            if abs(r[ext[0]]) <= abs(r[ext[-1]]):
+                ext.pop(0)
+            else:
+                ext.pop()
+        else:
+            # drop the adjacent pair with the smallest peak
+            pair = min(
+                range(len(ext) - 1),
+                key=lambda i: max(abs(r[ext[i]]), abs(r[ext[i + 1]])),
+            )
+            del ext[pair:pair + 2]
+    return ext
 
 
 # ---------------------------------------------------------------- chebyshev
@@ -91,6 +136,33 @@ def test_orthonormalize_survives_extreme_column_scales():
     V = basis_matrix(x, [0.0, 1.0, 169.0])
     Q, R = orthonormalize(V)
     assert np.allclose(Q @ R, V, rtol=1e-10, atol=1e-30)
+
+
+# ----------------------------------------------------------- exchange steps
+
+# few distinct magnitudes, so ties, zeros and signed zeros are common
+residual_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(residual_entries, min_size=1, max_size=40))
+def test_exchange_helpers_match_the_loops(values):
+    r = np.array(values)
+    ext = minimax._alternating_extrema(r)
+    assert ext == loop_alternating_extrema(r)
+    assert all(type(i) is int for i in ext)
+    for size in range(1, len(ext) + 2):
+        assert minimax._trim_reference(ext, r, size) == \
+            loop_trim_reference(ext, r, size)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_alternating_extrema_rejects_a_residual_that_is_not_finite(bad):
+    with pytest.raises(ConditioningError, match="not finite"):
+        minimax._alternating_extrema(np.array([1.0, -2.0, bad, 3.0]))
 
 
 # ------------------------------------------------------- best approximation
@@ -426,6 +498,50 @@ def test_set_chebyshev_names_its_cycle_early(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"4-cycle of references"):
         minimax._set_chebyshev(Q, tol=1e-10)
     assert len(solves) < 25
+
+
+def counting_decimal_solves(monkeypatch):
+    calls = []
+    real = minimax._decimal_solve
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(minimax, "_decimal_solve", counted)
+    return calls
+
+
+def test_set_chebyshev_mp_warm_start_gives_the_cold_bits():
+    # the criterion-5 case: the 33-query sweep cycles in double precision,
+    # a single query does not and gives a reference to start from
+    x = discretize(normalize([[0.75, 1.0]]), 1e-3).as_array()
+    exps = [float(e) for e in range(13)]
+    ys = np.linspace(0.0, 0.5, 33)
+    Qall, _ = orthonormalize(basis_matrix(np.append(x, 0.0), exps))
+    _, ref = minimax._set_chebyshev(Qall[: len(x)], tol=1e-10)
+    cold = minimax._set_chebyshev_mp(x, exps, ys)
+    warm = minimax._set_chebyshev_mp(x, exps, ys, start=ref)
+    assert repr(warm) == repr(cold)
+
+
+def test_growth_sweep_starts_the_60_digit_route_where_double_stopped(
+        monkeypatch):
+    # the double exchange converges here, and the values exceed
+    # MP_VALUE_THRESHOLD: the 60-digit route starts from its reference
+    g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
+    x = g.as_array()
+    exps = [float(e) for e in truncate(arithmetic(0.5), 10)]
+    ys = np.linspace(0.0, 0.5, 33)
+    out_ys = [float(y) for y in ys if y < x.min()]
+    calls = counting_decimal_solves(monkeypatch)
+    cold_values, cold_coeffs = minimax._set_chebyshev_mp(x, exps, out_ys)
+    cold_solves = len(calls)
+    calls.clear()
+    sweep = growth_sweep(exps, g, ys)
+    assert 0 < len(calls) < cold_solves
+    assert repr([r.value for r in sweep[: len(out_ys)]]) == repr(cold_values)
+    assert repr(sweep[0].extremal.coefficients) == repr(tuple(cold_coeffs))
 
 
 def test_set_chebyshev_mp_names_the_iteration_cap():
