@@ -216,7 +216,7 @@ COLUMN_DOCS = {
 def write_csv(path: str | None, header, rows, cfg: dict, seed: int, mesh):
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    rows = sorted(rows, key=lambda r: [_fmt(v) for v in r])
+    rows = sorted(rows)  # on the values: n = 2 comes before n = 10
     lines = [f"# config_hash={digest} seed={seed} mesh={_fmt(mesh) if mesh is not None else 'na'}"]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)

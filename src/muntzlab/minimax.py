@@ -10,6 +10,10 @@ Two solvers share one orthonormalization front end:
   set-Chebyshev element outside the constraint hull; inside it, 1 at a
   grid point and one LP with a checked duality certificate elsewhere.
 
+Both LPs (that growth LP, and the discrete minimax LP on which the
+exchange falls back) run HiGHS dual simplex through linprog, a direct call
+into the HiGHS bindings that scipy ships.
+
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
 decimal arithmetic) runs in the one loop _exchange; the solvers supply only
 the reference solve and the choice of the next reference.
@@ -26,9 +30,10 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from muntzlab.errors import (
     ConditioningError,
@@ -334,6 +339,76 @@ def best_uniform_approx(
     )
 
 
+# HiGHS model status -> scipy's linprog status: 1 limit reached,
+# 2 infeasible, 3 unbounded, 4 anything else that is not optimal (0)
+_LP_STATUS = {
+    _core.HighsModelStatus.kTimeLimit: 1,
+    _core.HighsModelStatus.kIterationLimit: 1,
+    _core.HighsModelStatus.kModelError: 2,
+    _core.HighsModelStatus.kInfeasible: 2,
+    _core.HighsModelStatus.kUnbounded: 3,
+}
+
+
+def _lp_result(status: int, message: str, x=None, marginals=None):
+    return SimpleNamespace(x=x, status=status, message=message,
+                           ineqlin=SimpleNamespace(marginals=marginals))
+
+
+def linprog(c, A_ub, b_ub, bounds, options=None) -> SimpleNamespace:
+    """min c . x subject to A_ub x <= b_ub and lo <= x_j <= hi for
+    bounds[j] = (lo, hi), None meaning no bound, by HiGHS dual simplex
+    through the HiGHS bindings that scipy ships.
+
+    HiGHS gets the model and the options that scipy's
+    linprog(method="highs") would give it (column-wise matrix without exact
+    zeros; output off, dual simplex, presolve on, each overridden by
+    `options`), so x and the multipliers are the same bits.  Returns x,
+    scipy's status code (0 optimal, 1 limit reached, 2 infeasible,
+    3 unbounded, 4 other), a message naming the HiGHS model status, and
+    ineqlin.marginals, the row duals d(objective)/d(b_ub).  x and the
+    marginals are None unless the status is 0; data that is not finite
+    is status 4.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    if not (np.isfinite(c).all() and np.isfinite(A).all()
+            and np.isfinite(b).all()):
+        return _lp_result(4, "LP data not finite")
+    nrow, ncol = A.shape
+    At = A.T  # row j of At is column j of A
+    nz = At != 0.0
+    index = np.nonzero(nz)[1].astype(np.int32)
+    start = np.zeros(ncol, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nz, axis=1)[:-1], out=start[1:])
+    inf = _core.kHighsInf
+    lo = np.array([-inf if v is None else v for v, _ in bounds], dtype=float)
+    hi = np.array([inf if v is None else v for _, v in bounds], dtype=float)
+
+    h = _core._Highs()
+    for key, value in {"output_flag": False, "simplex_strategy": 1,
+                       "presolve": "on", **(options or {})}.items():
+        if h.setOptionValue(key, value) == _core.HighsStatus.kError:
+            raise ValueError(f"HiGHS refused the option {key}={value!r}")
+    # 1, 1: column-wise matrix, minimize; integrality 0: every column is
+    # continuous (an empty integrality array makes passModel fail)
+    loaded = h.passModel(
+        ncol, nrow, index.size, 1, 1, 0.0, c, lo, hi, np.full(nrow, -inf), b,
+        start, index, At[nz], np.zeros(ncol, dtype=np.int32),
+    ) != _core.HighsStatus.kError
+    ran = loaded and h.run() != _core.HighsStatus.kError
+    status = h.getModelStatus() if loaded else _core.HighsModelStatus.kModelError
+    message = f"HiGHS model status {h.modelStatusToString(status)}"
+    if not ran:
+        message += " (run failed)" if loaded else " (passModel failed)"
+    if not ran or status != _core.HighsModelStatus.kOptimal:
+        return _lp_result(_LP_STATUS.get(status, 4), message)
+    sol = h.getSolution()
+    return _lp_result(0, message, np.array(sol.col_value),
+                      np.array(sol.row_dual))
+
+
 def _growth_lp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """maximize q . b subject to -1 <= Q b <= 1; returns the optimal b.
 
@@ -347,8 +422,7 @@ def _growth_lp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     N, m = Q.shape
     box = math.sqrt(N) + 1.0
-    res = linprog(-q, A_ub=np.vstack([Q, -Q]), b_ub=np.ones(2 * N),
-                  bounds=[(-box, box)] * m, method="highs")
+    res = linprog(-q, np.vstack([Q, -Q]), np.ones(2 * N), [(-box, box)] * m)
     if res.status != 0:
         raise ConvergenceError(f"growth LP failed: {res.message}")
     b = res.x
@@ -602,9 +676,8 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float
     ])
     b_ub = np.concatenate([f, -f])
     # presolve removes nothing from this dense LP and only costs time
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * k + [(0, None)], method="highs",
-                  options={"presolve": False})
+    res = linprog(c, A_ub, b_ub, [(None, None)] * k + [(0, None)],
+                  options={"presolve": "off"})
     if res.status != 0:
         raise ConvergenceError(f"minimax LP failed: {res.message}")
     b = res.x[:k]

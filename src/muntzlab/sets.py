@@ -167,12 +167,13 @@ def union_to_json(A: IntervalUnion) -> dict:
 
 def union_from_json(obj: dict) -> IntervalUnion:
     """Parse {"intervals": [[a,b],...]} or
-    {"fat_cantor": {"level": K, "carrier": [a,b]}}."""
+    {"fat_cantor": {"level": K, "carrier": [a,b]}}, a subset of [0, 1]."""
     if not isinstance(obj, dict):
         raise ConfigError("set descriptor must be an object")
     if set(obj) == {"intervals"}:
-        return normalize(obj["intervals"])
-    if set(obj) == {"fat_cantor"}:
+        A = normalize(obj["intervals"])
+        top = A.intervals[-1][1] if A.intervals else 0.0
+    elif set(obj) == {"fat_cantor"}:
         spec = obj["fat_cantor"]
         if not isinstance(spec, dict) or "level" not in spec:
             raise ConfigError("fat_cantor needs an object with a level")
@@ -182,5 +183,11 @@ def union_from_json(obj: dict) -> IntervalUnion:
         level = spec["level"]
         if isinstance(level, bool) or not isinstance(level, int):
             raise ConfigError(f"fat_cantor level must be an integer, not {level!r}")
-        return fat_cantor(level, spec.get("carrier", (0.0, 1.0)))
-    raise ConfigError(f"unrecognized set descriptor: {sorted(obj)}")
+        carrier = spec.get("carrier", (0.0, 1.0))
+        A = fat_cantor(level, carrier)
+        top = _pair(carrier, "carrier")[1]
+    else:
+        raise ConfigError(f"unrecognized set descriptor: {sorted(obj)}")
+    if top > 1.0:
+        raise ConfigError(f"set must lie in [0, 1], not reach {top!r}")
+    return A

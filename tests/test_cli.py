@@ -103,6 +103,32 @@ def test_remez_constant_command(tmp_path):
     assert len(lines) == 5
 
 
+def test_rows_are_in_numeric_order(tmp_path):
+    # rows sort on their values, not on their text: n = 10 follows n = 9
+    cfg = write_cfg(tmp_path, {
+        "sequence": {"kind": {"arithmetic": 1.0}},
+        "n_max": 11, "s": 0.25, "rho": 0.5, "mesh": 1e-2,
+    })
+    out = tmp_path / "rc.csv"
+    assert run_main(["remez-constant", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in lines[2:]] == [str(n) for n in range(12)]
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("density", "set", {"intervals": [[0, 2]]}),
+    ("density", "set", {"fat_cantor": {"level": 2, "carrier": [0.5, 1.5]}}),
+    ("remez-constant", "family", [{"intervals": [[0.75, 1.25]]}]),
+    ("remez-constant", "family", [{"fat_cantor": {"level": 1, "carrier": [0, 2]}}]),
+])
+def test_a_set_outside_the_unit_interval_is_refused(tmp_path, capsys, command,
+                                                    field, value):
+    cfg = write_cfg(tmp_path, dict(VALID[command], **{field: value}))
+    assert run_main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "set must lie in [0, 1]" in err, err
+
+
 def test_density_command(tmp_path):
     cfg = write_cfg(tmp_path, {
         "target": "abs2x1",

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -607,3 +608,95 @@ def test_discrete_minimax_lp_zero_basis():
     coeffs, err = discrete_minimax_lp(B, f)
     assert np.all(coeffs == 0)
     assert err == pytest.approx(1.0)
+
+
+# ------------------------------------------------------------- the LP door
+
+
+def minimax_lp_input(seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, 40 + 10 * seed))
+    B = basis_matrix(x, sorted(rng.choice(9, size=2 + seed % 4, replace=False)))
+    return B, np.abs(2 * x - 1) + 0.1 * rng.standard_normal(x.size)
+
+
+def growth_lp_input(seed):
+    rng = np.random.default_rng(seed)
+    x = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-2 * (1 + seed % 3)).as_array()
+    exps = [0.0] + sorted(rng.uniform(0.5, 8.0, size=2 + seed % 4))
+    Q, R = orthonormalize(basis_matrix(x, exps))
+    y = rng.uniform(0.0, 1.0)
+    return Q, np.linalg.solve(R.T, basis_matrix(np.array([y]), exps)[0])
+
+
+def solve_both(monkeypatch, seed):
+    """Every door call of one seeded minimax LP and one growth LP."""
+    calls = []
+    real = minimax.linprog
+
+    def recorded(c, A_ub, b_ub, bounds, options=None):
+        args = (c, A_ub, b_ub, bounds, options)
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(minimax, "linprog", recorded)
+    discrete_minimax_lp(*minimax_lp_input(seed))
+    minimax._growth_lp(*growth_lp_input(seed))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
+    from scipy.optimize import linprog as scipy_linprog  # the oracle
+
+    calls = solve_both(monkeypatch, seed)
+    assert len(calls) == 2
+    for (c, A_ub, b_ub, bounds, options), res in calls:
+        want = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                             method="highs",
+                             options={"presolve": options is None})
+        assert res.status == want.status == 0
+        assert np.array_equal(res.x, want.x)
+        assert np.array_equal(res.ineqlin.marginals, want.ineqlin.marginals)
+
+
+def test_lp_door_raises_no_warning(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(solve_both(monkeypatch, 0)) == 2
+
+
+# each turns the door's LP into one that HiGHS cannot solve
+BROKEN_LPS = {
+    "Infeasible": lambda c, A, b, bounds: (c, 0 * A, -np.ones_like(b), bounds),
+    "Unbounded": lambda c, A, b, bounds: (c, 0 * A, np.ones_like(b),
+                                          [(None, None)] * len(c)),
+    # HiGHS refuses matrix entries from 1e15 on, and a cost of 1e300 on
+    # free columns fails the solve
+    r"Model error \(passModel failed\)":
+        lambda c, A, b, bounds: (c, 1e16 * A, b, bounds),
+    r"[A-Za-z ]+ \(run failed\)":
+        lambda c, A, b, bounds: (1e300 * c, A, b, [(None, None)] * len(c)),
+}
+
+
+@pytest.mark.parametrize("status", BROKEN_LPS)
+@pytest.mark.parametrize("solver", ["minimax", "growth"])
+def test_lp_door_failures_raise_convergence_error(monkeypatch, status, solver):
+    real = minimax.linprog
+    monkeypatch.setattr(
+        minimax, "linprog",
+        lambda c, A, b, bounds, options=None:
+            real(*BROKEN_LPS[status](c, A, b, bounds), options))
+    with pytest.raises(ConvergenceError, match=f"HiGHS model status {status}"):
+        if solver == "minimax":
+            discrete_minimax_lp(*minimax_lp_input(0))
+        else:
+            minimax._growth_lp(*growth_lp_input(0))
+
+
+def test_lp_door_refuses_data_that_is_not_finite():
+    B, f = minimax_lp_input(0)
+    f[3] = np.nan
+    with pytest.raises(ConvergenceError, match="LP data not finite"):
+        discrete_minimax_lp(B, f)
