@@ -11,8 +11,9 @@ Two solvers share one orthonormalization front end:
   grid point and one LP with a checked duality certificate elsewhere.
 
 Both LPs (that growth LP, and the discrete minimax LP on which the
-exchange falls back) run HiGHS dual simplex through linprog, a direct call
-into the HiGHS bindings that scipy ships.
+exchange falls back) run HiGHS dual simplex through one door, _highs_lp, a
+direct call into the HiGHS bindings that scipy ships; it returns the
+optimal point and the row duals, or raises ConvergenceError.
 
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
 decimal arithmetic) runs in the one loop _exchange; the solvers supply only
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from operator import mul
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize._highspy import _core
@@ -339,74 +339,51 @@ def best_uniform_approx(
     )
 
 
-# HiGHS model status -> scipy's linprog status: 1 limit reached,
-# 2 infeasible, 3 unbounded, 4 anything else that is not optimal (0)
-_LP_STATUS = {
-    _core.HighsModelStatus.kTimeLimit: 1,
-    _core.HighsModelStatus.kIterationLimit: 1,
-    _core.HighsModelStatus.kModelError: 2,
-    _core.HighsModelStatus.kInfeasible: 2,
-    _core.HighsModelStatus.kUnbounded: 3,
-}
-
-
-def _lp_result(status: int, message: str, x=None, marginals=None):
-    return SimpleNamespace(x=x, status=status, message=message,
-                           ineqlin=SimpleNamespace(marginals=marginals))
-
-
-def linprog(c, A_ub, b_ub, bounds, options=None) -> SimpleNamespace:
-    """min c . x subject to A_ub x <= b_ub and lo <= x_j <= hi for
-    bounds[j] = (lo, hi), None meaning no bound, by HiGHS dual simplex
-    through the HiGHS bindings that scipy ships.
+def _highs_lp(c, A, b, lo, hi, presolve: bool, what: str):
+    """min c . x subject to A x <= b and lo <= x <= hi (np.inf for no
+    bound), by HiGHS dual simplex through the HiGHS bindings that scipy
+    ships.  Returns (x, row_duals): the optimal point and the row duals
+    d(objective)/d(b), as float arrays.
 
     HiGHS gets the model and the options that scipy's
     linprog(method="highs") would give it (column-wise matrix without exact
-    zeros; output off, dual simplex, presolve on, each overridden by
-    `options`), so x and the multipliers are the same bits.  Returns x,
-    scipy's status code (0 optimal, 1 limit reached, 2 infeasible,
-    3 unbounded, 4 other), a message naming the HiGHS model status, and
-    ineqlin.marginals, the row duals d(objective)/d(b_ub).  x and the
-    marginals are None unless the status is 0; data that is not finite
-    is status 4.
+    zeros; output off, dual simplex, presolve on or off), so both arrays
+    are the same bits as scipy's x and ineqlin.marginals.  Data that is not
+    finite, an option HiGHS refuses, a failed passModel or run, and every
+    model status but optimal raise ConvergenceError, whose message begins
+    "`what` failed:".
     """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
     if not (np.isfinite(c).all() and np.isfinite(A).all()
             and np.isfinite(b).all()):
-        return _lp_result(4, "LP data not finite")
+        raise ConvergenceError(f"{what} failed: LP data not finite")
     nrow, ncol = A.shape
     At = A.T  # row j of At is column j of A
     nz = At != 0.0
     index = np.nonzero(nz)[1].astype(np.int32)
     start = np.zeros(ncol, dtype=np.int32)
     np.cumsum(np.count_nonzero(nz, axis=1)[:-1], out=start[1:])
-    inf = _core.kHighsInf
-    lo = np.array([-inf if v is None else v for v, _ in bounds], dtype=float)
-    hi = np.array([inf if v is None else v for _, v in bounds], dtype=float)
 
     h = _core._Highs()
-    for key, value in {"output_flag": False, "simplex_strategy": 1,
-                       "presolve": "on", **(options or {})}.items():
+    for key, value in (("output_flag", False), ("simplex_strategy", 1),
+                       ("presolve", "on" if presolve else "off")):
         if h.setOptionValue(key, value) == _core.HighsStatus.kError:
-            raise ValueError(f"HiGHS refused the option {key}={value!r}")
+            raise ConvergenceError(
+                f"{what} failed: HiGHS refused the option {key}={value!r}")
     # 1, 1: column-wise matrix, minimize; integrality 0: every column is
     # continuous (an empty integrality array makes passModel fail)
     loaded = h.passModel(
-        ncol, nrow, index.size, 1, 1, 0.0, c, lo, hi, np.full(nrow, -inf), b,
-        start, index, At[nz], np.zeros(ncol, dtype=np.int32),
+        ncol, nrow, index.size, 1, 1, 0.0, c, lo, hi, np.full(nrow, -np.inf),
+        b, start, index, At[nz], np.zeros(ncol, dtype=np.int32),
     ) != _core.HighsStatus.kError
     ran = loaded and h.run() != _core.HighsStatus.kError
     status = h.getModelStatus() if loaded else _core.HighsModelStatus.kModelError
-    message = f"HiGHS model status {h.modelStatusToString(status)}"
-    if not ran:
-        message += " (run failed)" if loaded else " (passModel failed)"
     if not ran or status != _core.HighsModelStatus.kOptimal:
-        return _lp_result(_LP_STATUS.get(status, 4), message)
+        why = "" if ran else " (run failed)" if loaded else " (passModel failed)"
+        raise ConvergenceError(f"{what} failed: HiGHS model status "
+                               f"{h.modelStatusToString(status)}{why}")
     sol = h.getSolution()
-    return _lp_result(0, message, np.array(sol.col_value),
-                      np.array(sol.row_dual))
+    return np.array(sol.col_value), np.array(sol.row_dual)
 
 
 def _growth_lp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -422,13 +399,12 @@ def _growth_lp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     N, m = Q.shape
     box = math.sqrt(N) + 1.0
-    res = linprog(-q, np.vstack([Q, -Q]), np.ones(2 * N), [(-box, box)] * m)
-    if res.status != 0:
-        raise ConvergenceError(f"growth LP failed: {res.message}")
-    b = res.x
+    b, duals = _highs_lp(-q, np.vstack([Q, -Q]), np.ones(2 * N),
+                         np.full(m, -box), np.full(m, box), presolve=True,
+                         what="growth LP")
     peak = float(np.max(np.abs(Q @ b)))
     lower = abs(float(q @ b)) / peak if peak > 0.0 else 0.0
-    upper = float(np.sum(np.abs(res.ineqlin.marginals)))
+    upper = float(np.sum(np.abs(duals)))
     if abs(upper - lower) > GROWTH_CERT_RTOL * max(upper, lower):
         raise ConvergenceError(
             f"growth LP certificate failed: primal bound {lower:.9g}, "
@@ -675,12 +651,11 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float
         [-Q, -np.ones((N, 1))],
     ])
     b_ub = np.concatenate([f, -f])
-    # presolve removes nothing from this dense LP and only costs time
-    res = linprog(c, A_ub, b_ub, [(None, None)] * k + [(0, None)],
-                  options={"presolve": "off"})
-    if res.status != 0:
-        raise ConvergenceError(f"minimax LP failed: {res.message}")
-    b = res.x[:k]
+    # b is free and t >= 0; presolve removes nothing from this dense LP and
+    # only costs time
+    x, _ = _highs_lp(c, A_ub, b_ub, np.append(np.full(k, -np.inf), 0.0),
+                     np.full(k + 1, np.inf), presolve=False, what="minimax LP")
+    b = x[:k]
     coeffs = np.zeros(m)
     coeffs[keep] = np.linalg.solve(R, b)
-    return coeffs, float(res.x[-1])
+    return coeffs, float(x[-1])

@@ -229,6 +229,18 @@ def _random_admissible_set(rng, s: float, rho: float, idx: int):
     return normalize([[a, a + s]])
 
 
+def _product_constant(spec: ProductSpaceSpec, s: float, alphas) -> float:
+    """c = alpha_1 ... alpha_k, once there is one alpha estimate per factor
+    space and each was made for this s and k; ConfigError otherwise."""
+    alphas = list(alphas)
+    if len(alphas) != spec.k:
+        raise ConfigError("need one alpha estimate per factor space")
+    for a in alphas:
+        if abs(a.s - s) > 1e-12 or a.k != spec.k:
+            raise ConfigError("alpha estimates do not match (s, k)")
+    return math.prod(a.alpha for a in alphas)
+
+
 def verify_product_remez(
     spec: ProductSpaceSpec,
     n: int,
@@ -243,13 +255,7 @@ def verify_product_remez(
     of measure >= s and check ||p||_[0,rho] <= c ||p||_A on grids, with
     c = alpha_1 ... alpha_k.  The alphas are empirical, so rare
     out-of-sample violations are possible and merely counted."""
-    alphas = list(alphas)
-    if len(alphas) != spec.k:
-        raise ConfigError("need one alpha estimate per factor space")
-    for a in alphas:
-        if abs(a.s - s) > 1e-12 or a.k != spec.k:
-            raise ConfigError("alpha estimates do not match (s, k)")
-    c = math.prod(a.alpha for a in alphas)
+    c = _product_constant(spec, s, alphas)
     rng = np.random.default_rng([seed, 9000 + spec.k])
     per_factor = [
         sample_factors(truncate(seq, n), budget, np.random.default_rng([seed, 100 + j]), mesh)
@@ -291,9 +297,7 @@ def inequality_chain_report(
     ||p||_[0,rho] <= (alpha_1...alpha_k) ||p||_A must hold for the default
     admissible family."""
     alphas = list(alphas)
-    if len(alphas) != spec.k:
-        raise ConfigError("need one alpha estimate per factor space")
-    c = math.prod(a.alpha for a in alphas)
+    c = _product_constant(spec, s, alphas)
     families = [
         draw_alpha_samples(seq, n, s, budget, seed, mesh, j=j)
         for j, seq in enumerate(spec.sequences)

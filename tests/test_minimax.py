@@ -402,13 +402,13 @@ def test_growth_at_a_grid_point_solves_no_lp(monkeypatch):
     # [DERIVED] y = 0.5 starts the set and is a grid point, and 0 is an
     # exponent: the constant 1 is extremal and the value is exactly 1
     calls = []
-    real = minimax.linprog
+    real = minimax._highs_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(minimax, "linprog", counted)
+    monkeypatch.setattr(minimax, "_highs_lp", counted)
     g = discretize(fat_cantor(3, (0.5, 1)), 1e-3)
     res = growth_functional(range(13), g, 0.5)
     assert res.value == 1.0
@@ -425,14 +425,13 @@ def test_growth_lp_checks_its_dual_bound(monkeypatch):
     q = np.linalg.solve(R.T, basis_matrix(np.array([0.3]), exps)[0])
     b = minimax._growth_lp(Q, q)
     assert abs(float(q @ b)) == pytest.approx(5.48, rel=1e-9)  # T_2(-1.8)
-    real = minimax.linprog
+    real = minimax._highs_lp
 
-    def doubled_marginals(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.ineqlin.marginals = 2.0 * res.ineqlin.marginals
-        return res
+    def doubled_duals(*args, **kwargs):
+        x, duals = real(*args, **kwargs)
+        return x, 2.0 * duals
 
-    monkeypatch.setattr(minimax, "linprog", doubled_marginals)
+    monkeypatch.setattr(minimax, "_highs_lp", doubled_duals)
     with pytest.raises(ConvergenceError,
                        match=r"primal bound 5\.48\d*, dual bound 10\.96"):
         minimax._growth_lp(Q, q)
@@ -632,14 +631,14 @@ def growth_lp_input(seed):
 def solve_both(monkeypatch, seed):
     """Every door call of one seeded minimax LP and one growth LP."""
     calls = []
-    real = minimax.linprog
+    real = minimax._highs_lp
 
-    def recorded(c, A_ub, b_ub, bounds, options=None):
-        args = (c, A_ub, b_ub, bounds, options)
+    def recorded(c, A, b, lo, hi, presolve, what):
+        args = (c, A, b, lo, hi, presolve, what)
         calls.append((args, real(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(minimax, "linprog", recorded)
+    monkeypatch.setattr(minimax, "_highs_lp", recorded)
     discrete_minimax_lp(*minimax_lp_input(seed))
     minimax._growth_lp(*growth_lp_input(seed))
     return calls
@@ -650,14 +649,15 @@ def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
     from scipy.optimize import linprog as scipy_linprog  # the oracle
 
     calls = solve_both(monkeypatch, seed)
-    assert len(calls) == 2
-    for (c, A_ub, b_ub, bounds, options), res in calls:
-        want = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                             method="highs",
-                             options={"presolve": options is None})
-        assert res.status == want.status == 0
-        assert np.array_equal(res.x, want.x)
-        assert np.array_equal(res.ineqlin.marginals, want.ineqlin.marginals)
+    assert [args[5:] for args, _ in calls] == [(False, "minimax LP"),
+                                               (True, "growth LP")]
+    for (c, A, b, lo, hi, presolve, _), (x, duals) in calls:
+        want = scipy_linprog(c, A_ub=A, b_ub=b,
+                             bounds=np.column_stack([lo, hi]), method="highs",
+                             options={"presolve": presolve})
+        assert want.status == 0
+        assert np.array_equal(x, want.x)
+        assert np.array_equal(duals, want.ineqlin.marginals)
 
 
 def test_lp_door_raises_no_warning(monkeypatch):
@@ -666,37 +666,61 @@ def test_lp_door_raises_no_warning(monkeypatch):
         assert len(solve_both(monkeypatch, 0)) == 2
 
 
-# each turns the door's LP into one that HiGHS cannot solve
+def free(lo, hi):
+    return np.full_like(lo, -np.inf), np.full_like(hi, np.inf)
+
+
+# each turns the door's LP (c, A, b, lo, hi) into one that HiGHS cannot solve
 BROKEN_LPS = {
-    "Infeasible": lambda c, A, b, bounds: (c, 0 * A, -np.ones_like(b), bounds),
-    "Unbounded": lambda c, A, b, bounds: (c, 0 * A, np.ones_like(b),
-                                          [(None, None)] * len(c)),
+    "Infeasible": lambda c, A, b, lo, hi: (c, 0 * A, -np.ones_like(b), lo, hi),
+    "Unbounded":
+        lambda c, A, b, lo, hi: (c, 0 * A, np.ones_like(b), *free(lo, hi)),
     # HiGHS refuses matrix entries from 1e15 on, and a cost of 1e300 on
     # free columns fails the solve
     r"Model error \(passModel failed\)":
-        lambda c, A, b, bounds: (c, 1e16 * A, b, bounds),
+        lambda c, A, b, lo, hi: (c, 1e16 * A, b, lo, hi),
     r"[A-Za-z ]+ \(run failed\)":
-        lambda c, A, b, bounds: (1e300 * c, A, b, [(None, None)] * len(c)),
+        lambda c, A, b, lo, hi: (1e300 * c, A, b, *free(lo, hi)),
 }
 
 
 @pytest.mark.parametrize("status", BROKEN_LPS)
 @pytest.mark.parametrize("solver", ["minimax", "growth"])
 def test_lp_door_failures_raise_convergence_error(monkeypatch, status, solver):
-    real = minimax.linprog
+    real = minimax._highs_lp
     monkeypatch.setattr(
-        minimax, "linprog",
-        lambda c, A, b, bounds, options=None:
-            real(*BROKEN_LPS[status](c, A, b, bounds), options))
-    with pytest.raises(ConvergenceError, match=f"HiGHS model status {status}"):
+        minimax, "_highs_lp",
+        lambda c, A, b, lo, hi, presolve, what:
+            real(*BROKEN_LPS[status](c, A, b, lo, hi), presolve, what))
+    with pytest.raises(ConvergenceError,
+                       match=f"^{solver} LP failed: HiGHS model status {status}$"):
         if solver == "minimax":
             discrete_minimax_lp(*minimax_lp_input(0))
         else:
             minimax._growth_lp(*growth_lp_input(0))
 
 
+def test_lp_door_names_an_option_highs_refuses(monkeypatch):
+    class Refusing(minimax._core._Highs):
+        def setOptionValue(self, key, value):
+            if key == "simplex_strategy":
+                return minimax._core.HighsStatus.kError
+            return super().setOptionValue(key, value)
+
+    monkeypatch.setattr(minimax._core, "_Highs", Refusing)
+    with pytest.raises(ConvergenceError, match="^minimax LP failed: HiGHS "
+                       "refused the option simplex_strategy=1$"):
+        discrete_minimax_lp(*minimax_lp_input(0))
+
+
 def test_lp_door_refuses_data_that_is_not_finite():
     B, f = minimax_lp_input(0)
     f[3] = np.nan
-    with pytest.raises(ConvergenceError, match="LP data not finite"):
+    with pytest.raises(ConvergenceError,
+                       match="^minimax LP failed: LP data not finite$"):
         discrete_minimax_lp(B, f)
+    Q, q = growth_lp_input(0)
+    q[1] = np.inf
+    with pytest.raises(ConvergenceError,
+                       match="^growth LP failed: LP data not finite$"):
+        minimax._growth_lp(Q, q)

@@ -130,13 +130,18 @@ def test_verify_product_remez_no_violations():
 
 
 def test_verify_product_remez_validation():
+    # both consumers of alpha estimates refuse the same bad inputs
     spec = ProductSpaceSpec((squares(), arithmetic(1.0)))
     a = estimate_alpha(squares(), 2, 0.25, 2, budget=3, seed=1, mesh=1e-2)
-    with pytest.raises(ConfigError):
-        verify_product_remez(spec, 2, 0.25, 0.5, [a], 5, 1, 1e-2)
+    # estimates made for another s, or for another k
     b = estimate_alpha(squares(), 2, 0.5, 2, budget=3, seed=1, mesh=1e-2)
-    with pytest.raises(ConfigError):
-        verify_product_remez(spec, 2, 0.25, 0.5, [a, b], 5, 1, 1e-2)
+    c = estimate_alpha(squares(), 2, 0.25, 1, budget=3, seed=1, mesh=1e-2)
+    for check in (verify_product_remez, inequality_chain_report):
+        with pytest.raises(ConfigError, match="one alpha estimate per factor"):
+            check(spec, 2, 0.25, 0.5, [a], 5, 1, 1e-2)
+        for bad in ([a, b], [a, c]):
+            with pytest.raises(ConfigError, match="do not match"):
+                check(spec, 2, 0.25, 0.5, bad, 5, 1, 1e-2)
 
 
 def test_inequality_chain_in_sample():
