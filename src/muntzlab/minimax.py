@@ -16,8 +16,8 @@ direct call into the HiGHS bindings that scipy ships; it returns the
 optimal point and the row duals, or raises ConvergenceError.
 
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
-decimal arithmetic) runs in the one loop _exchange; the solvers supply only
-the reference solve and the choice of the next reference.
+decimal arithmetic) runs in the one loop _exchange, which returns its last
+solve; the solvers supply a solve, and optionally the next-reference choice.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -48,6 +48,8 @@ DEFAULT_TOL = 1e-8
 MAX_EXCHANGES = 200
 RANK_TOL = 1e-14
 GROWTH_CERT_RTOL = 1e-6  # 10x the default HiGHS feasibility tolerance
+SET_CHEBYSHEV_TOL = 1e-10  # slack on sup-norm 1 that ends the exchange
+SET_CHEBYSHEV_MP_TOL = 1e-12  # the same at MP_DIGITS digits
 
 
 @dataclass(frozen=True)
@@ -148,24 +150,26 @@ def _trim_reference(ext: list[int], r: np.ndarray, size: int) -> list[int]:
     return ext
 
 
-def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str,
+def _exchange(N: int, size: int, solve, what: str, propose=None,
               start: list[int] | None = None):
     """The one reference-exchange loop on an N-point grid.  The exchange
-    solvers differ only in the two functions they pass:
+    solvers differ only in the functions they pass:
 
-    * solve(ref) -> (residual, level, done) solves on the reference `ref`,
-      a sorted list of `size` grid indices; `level` is the scalar that the
-      exchange drives (`what` names it in messages);
+    * solve(ref) -> (residual, level, done, state) solves on the reference
+      `ref`, a sorted list of `size` grid indices; `level` is the scalar the
+      exchange drives (`what` names it in messages), `state` what the solver
+      wants back from its last solve;
     * propose(ref, ext, r, level) -> the next reference, given the
-      alternating extrema `ext` (at least `size` of them) of the residual r.
+      alternating extrema `ext` (at least `size` of them) of the residual r;
+      by default _trim_reference(ext, r, size).
 
     Starts from the reference `start`, or by default from `size` evenly
     spread indices, and stops when solve is done, when r has fewer than
     `size` alternating extrema, or when the reference does not move.  The
     next reference is a function of the current one alone, so a repeated
-    reference means a cycle for good.  Returns (last solved reference,
-    failure): failure is None, or a message naming the cycle or the
-    max_iter cap.
+    reference means a cycle for good.  Returns (ref, state, failure) of the
+    last solve: failure is None, or a message naming the cycle or the
+    MAX_EXCHANGES cap.
     """
     if start is not None:
         ref = list(start)
@@ -176,26 +180,28 @@ def _exchange(N: int, size: int, solve, propose, max_iter: int, what: str,
             ref = sorted(ref + pool[: size - len(ref)])
     seen: dict[tuple[int, ...], int] = {}
     levels: list[float] = []
-    for step in range(max_iter):
-        seen[tuple(ref)] = step
-        r, level, done = solve(ref)
+    while True:
+        seen[tuple(ref)] = len(levels)
+        r, level, done, state = solve(ref)
         levels.append(level)
         if done:
-            return ref, None
+            return ref, state, None
         ext = _alternating_extrema(r)
         if len(ext) < size:
-            return ref, None  # residual too flat to exchange further
-        new_ref = propose(ref, ext, r, level)
+            return ref, state, None  # residual too flat to exchange further
+        new_ref = (_trim_reference(ext, r, size) if propose is None
+                   else propose(ref, ext, r, level))
         if new_ref == ref:
-            return ref, None
+            return ref, state, None
         first = seen.get(tuple(new_ref))
         if first is not None:
             cyc = levels[first:]
-            return ref, (
+            return ref, state, (
                 f"exchange fell into a {len(cyc)}-cycle of references at step "
                 f"{first} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
+        if len(levels) >= MAX_EXCHANGES:
+            return ref, state, f"no convergence within {MAX_EXCHANGES} exchanges"
         ref = new_ref
-    return ref, f"no convergence within {max_iter} exchanges"
 
 
 def _single_exchange(ref: list[int], r: np.ndarray) -> list[int]:
@@ -235,7 +241,6 @@ def best_uniform_approx(
     grid: Grid,
     exponents,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_EXCHANGES,
 ) -> EquioscillationResult:
     """Best uniform approximation to samples f on the grid from
     span{x^lambda_j}, by discrete Remez exchange.
@@ -245,7 +250,7 @@ def best_uniform_approx(
     absolute residual there is a certified lower bound on the error.
 
     If the exchange revisits a reference (a cycle, possible in floating
-    point) or reaches max_iter, the same problem is solved exactly by
+    point) or reaches MAX_EXCHANGES, the same problem is solved exactly by
     discrete_minimax_lp and the certificate is rebuilt from the LP residual;
     ConvergenceError is raised if that certificate lacks dimension+1
     alternating points or its relative gap exceeds tol.
@@ -269,7 +274,6 @@ def best_uniform_approx(
     Q, R = orthonormalize(V)
 
     sigma = np.array([(-1.0) ** i for i in range(m + 1)])
-    last = {}
     proposed = {}  # tuple(ref) -> the guard's solution on the proposed ref
 
     def solve(ref):
@@ -282,11 +286,10 @@ def best_uniform_approx(
         b, E = sol[:m], sol[m]
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
-        last.update(b=b, r=r, err=err)
         # an error at the noise floor means f is numerically in the span
         done = (err - abs(E) <= tol * max(err, gap_floor)
                 or err <= 1e-12 * scale)
-        return r, abs(float(E)), done
+        return r, abs(float(E)), done, (b, r, err)
 
     def propose(ref, ext, r, E):
         # Accept the multi-point exchange only if the leveled error strictly
@@ -306,8 +309,8 @@ def best_uniform_approx(
             return new_ref
         return _single_exchange(ref, r)
 
-    ref, failure = _exchange(len(x), m + 1, solve, propose, max_iter,
-                             "leveled error")
+    ref, (b, r, err), failure = _exchange(len(x), m + 1, solve,
+                                          "leveled error", propose)
     if failure is not None:
         # Exchange is the dual simplex method on the discrete Chebyshev LP
         # (Stiefel 1960), so the LP solves the same problem exactly; its
@@ -316,8 +319,6 @@ def best_uniform_approx(
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
         ref = _trim_reference(_alternating_extrema(r), r, m + 1)
-    else:
-        b, r, err = last["b"], last["r"], last["err"]
 
     coeffs = np.linalg.solve(R, b)
     approx = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
@@ -348,12 +349,15 @@ def _highs_lp(c, A, b, lo, hi, presolve: bool, what: str):
     HiGHS gets the model and the options that scipy's
     linprog(method="highs") would give it (column-wise matrix without exact
     zeros; output off, dual simplex, presolve on or off), so both arrays
-    are the same bits as scipy's x and ineqlin.marginals.  Data that is not
-    finite, an option HiGHS refuses, a failed passModel or run, and every
-    model status but optimal raise ConvergenceError, whose message begins
-    "`what` failed:".
+    are the same bits as scipy's x and ineqlin.marginals.  Data of the
+    wrong shape or not finite, an option HiGHS refuses, a failed passModel
+    or run, and every model status but optimal raise ConvergenceError, whose
+    message begins "`what` failed:".
     """
-    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    c, A, b, lo, hi = (np.asarray(v, dtype=float) for v in (c, A, b, lo, hi))
+    if A.ndim != 2 or not (c.shape == lo.shape == hi.shape == (A.shape[1],)
+                           and b.shape == (A.shape[0],)):
+        raise ConvergenceError(f"{what} failed: LP data has the wrong shape")
     if not (np.isfinite(c).all() and np.isfinite(A).all()
             and np.isfinite(b).all()):
         raise ConvergenceError(f"{what} failed: LP data not finite")
@@ -417,19 +421,18 @@ def growth_functional(exponents, constraint: Grid, query: float) -> GrowthResult
     return growth_sweep(exponents, constraint, [query])[0]
 
 
-def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
+def _set_chebyshev(Q: np.ndarray):
     """Extremal element for queries outside the constraint hull: the
     generalized Chebyshev polynomial of the span on the grid, i.e. the
     element alternating between +-1 at dimension many grid points with
     sup-norm 1.  Found by Remez-style exchange in Q coordinates.
 
-    Returns (b, ref): coordinates b with max |Q b| = 1 (within tol) and
-    the reference the exchange stopped on.  Raises ConvergenceError when a
-    reference repeats or after max_iter steps.
+    Returns (b, ref): coordinates b with max |Q b| = 1 (within
+    SET_CHEBYSHEV_TOL) and the reference the exchange stopped on.  Raises
+    ConvergenceError when a reference repeats or after MAX_EXCHANGES steps.
     """
     N, m = Q.shape
     sigma = np.array([(-1.0) ** i for i in range(m)])
-    last = {}
 
     def solve(ref):
         try:
@@ -438,15 +441,12 @@ def _set_chebyshev(Q: np.ndarray, tol: float, max_iter: int = MAX_EXCHANGES):
             raise ConditioningError("singular reference system") from exc
         vals = Q @ b
         M = float(np.max(np.abs(vals)))
-        last.update(b=b, M=M)
-        return vals, M, M <= 1.0 + tol
+        return vals, M, M <= 1.0 + SET_CHEBYSHEV_TOL, (b, M)
 
-    ref, failure = _exchange(N, m, solve, lambda ref, ext, vals, M:
-                             _trim_reference(ext, vals, m), max_iter, "M")
+    ref, (b, M), failure = _exchange(N, m, solve, "M")
     if failure is not None:
         raise ConvergenceError(f"set-Chebyshev {failure}")
-    b, M = last["b"], last["M"]
-    if M > 1.0 + tol:
+    if M > 1.0 + SET_CHEBYSHEV_TOL:
         b = b / M  # stationary without certifying M = 1: rescale to feasible
     return b, ref
 
@@ -488,8 +488,7 @@ def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
     return a
 
 
-def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
-                      max_iter: int = MAX_EXCHANGES,
+def _set_chebyshev_mp(x: np.ndarray, exps, queries,
                       start: list[int] | None = None):
     """High-precision variant of _set_chebyshev working directly in the
     monomial basis.
@@ -508,22 +507,17 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries, tol: float = 1e-12,
     with localcontext(Context(prec=MP_DIGITS)):
         B = [_decimal_powers(float(xi), exps) for xi in x]
         sigma = [Decimal((-1) ** i) for i in range(m)]
-        bound = 1 + Decimal(tol)
-        last = {}
+        bound = 1 + Decimal(SET_CHEBYSHEV_MP_TOL)
 
         def solve(ref):
             a = _decimal_solve([B[i] for i in ref], sigma)
             vals = [sum(map(mul, row, a)) for row in B]
             M = max(map(abs, vals))
-            last.update(a=a, M=M)
-            return np.array(vals, dtype=float), float(M), M <= bound
+            return np.array(vals, dtype=float), float(M), M <= bound, (a, M)
 
-        _, failure = _exchange(len(x), m, solve, lambda ref, ext, vals, M:
-                               _trim_reference(ext, vals, m), max_iter, "M",
-                               start)
+        _, (a, M), failure = _exchange(len(x), m, solve, "M", start=start)
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
-        a, M = last["a"], last["M"]
         values = [float(abs(sum(map(mul, _decimal_powers(float(y), exps), a))) / M)
                   for y in queries]
         coeffs = [float(aj / M) for aj in a]
@@ -559,46 +553,39 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     Q = Qall[: len(x)]
     lo, hi = float(x.min()), float(x.max())
 
-    # One shared extremal serves every query outside the constraint hull:
-    # the generalized Chebyshev element of the span on the grid.
-    outside = [y < lo or y > hi for y in ys]
-    cheb_b = cheb_ref = None
-    mp_results = None
-    if any(outside):
-        try:
-            cheb_b, cheb_ref = _set_chebyshev(Q, tol=1e-10)
-        except ConvergenceError:
-            # the double-precision exchange can cycle on ill-conditioned
-            # references; the 60-digit route solves the same problem,
-            # starting from the even spread
-            pass
-        peak = math.inf if cheb_b is None else max(
-            abs(float(Qall[len(x) + i] @ cheb_b))
-            for i, y in enumerate(ys) if outside[i])
-        if peak > MP_VALUE_THRESHOLD:
-            # beyond double-precision reach: redo in 60-digit arithmetic
-            out_ys = [y for y, o in zip(ys, outside) if o]
-            vals, mp_coeffs = _set_chebyshev_mp(x, exps, out_ys,
-                                                start=cheb_ref)
-            mp_results = dict(zip(out_ys, vals))
-
     def extremal(coeffs, on_grid):
         p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
         return p, tuple(x[np.abs(on_grid) >= 1.0 - 1e-7].tolist())
 
-    if mp_results is not None:
-        shared = extremal(mp_coeffs, basis_matrix(x, exps) @ np.asarray(mp_coeffs))
-    elif cheb_b is not None:
-        shared = extremal(np.linalg.solve(R, cheb_b), Q @ cheb_b)
+    # One shared extremal serves every query outside the constraint hull:
+    # the generalized Chebyshev element of the span on the grid.  `outside`
+    # maps each such query's index to its point, `values` to its value.
+    outside = {i: y for i, y in enumerate(ys) if y < lo or y > hi}
+    if outside:
+        try:
+            b, ref = _set_chebyshev(Q)
+            values = {i: abs(float(Qall[len(x) + i] @ b)) for i in outside}
+        except ConvergenceError:
+            # the double-precision exchange can cycle on ill-conditioned
+            # references; the 60-digit route solves the same problem,
+            # starting from the even spread
+            ref = values = None
+        if values is None or max(values.values()) > MP_VALUE_THRESHOLD:
+            # beyond double-precision reach: redo in 60-digit arithmetic
+            vals, coeffs = _set_chebyshev_mp(x, exps, list(outside.values()),
+                                             start=ref)
+            values = dict(zip(outside, vals))
+            shared = extremal(coeffs, basis_matrix(x, exps) @ np.asarray(coeffs))
+        else:
+            shared = extremal(np.linalg.solve(R, b), Q @ b)
 
     grid_points = set(x.tolist())
     grid_qr = None  # (Q, R) of the grid rows alone, for the growth LPs
     out = []
     for i, y in enumerate(ys):
-        if outside[i]:
+        if i in outside:
             p, active = shared
-            value = mp_results[y] if mp_results is not None \
-                else abs(float(Qall[len(x) + i] @ cheb_b))
+            value = values[i]
         elif 0.0 in exps and y in grid_points:
             p = MuntzPolynomial(exps, tuple(float(e == 0.0) for e in exps))
             active, value = tuple(x.tolist()), 1.0

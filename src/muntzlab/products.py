@@ -255,6 +255,8 @@ def verify_product_remez(
     of measure >= s and check ||p||_[0,rho] <= c ||p||_A on grids, with
     c = alpha_1 ... alpha_k.  The alphas are empirical, so rare
     out-of-sample violations are possible and merely counted."""
+    if rho + s > 1.0 + 1e-12:
+        raise ConfigError("no set of measure s fits in [rho, 1]")
     c = _product_constant(spec, s, alphas)
     rng = np.random.default_rng([seed, 9000 + spec.k])
     per_factor = [

@@ -19,6 +19,7 @@ from muntzlab.minimax import (
 from muntzlab.sets import IntervalUnion, discretize, fat_cantor, normalize
 
 QUERY_POINTS = 33  # uniform query grid on [0, rho], 0 always included
+DENSITY_TOL = 1e-10  # relative certificate gap of each best approximation
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,6 @@ def density_probe(
     A: IntervalUnion,
     n_list,
     mesh: float,
-    tol: float = 1e-10,
 ) -> DensityProbeResult:
     """Best-approximation errors E_n(f) on A for nested truncations of the
     sequence; the decay/plateau of the curve probes density in C[A].
@@ -202,7 +202,7 @@ def density_probe(
     errors = []
     for n in n_list:
         res: EquioscillationResult = best_uniform_approx(
-            f, grid, truncate(seq, n), tol=tol
+            f, grid, truncate(seq, n), tol=DENSITY_TOL
         )
         errors.append((int(n), res.error))
     return DensityProbeResult(

@@ -184,6 +184,13 @@ def test_products_verify_command(tmp_path):
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[2:])
 
 
+def test_products_verify_refuses_a_set_past_1():
+    assert_refused("products", {
+        "task": "verify", "sequences": [{"kind": "squares"}], "n": 3,
+        "s": 0.25, "rho": 0.9, "budget": 5, "alpha_budget": 5, "mesh": 1e-2,
+    })
+
+
 def test_products_search_command(tmp_path):
     cfg = write_cfg(tmp_path, {
         "task": "search",

@@ -144,6 +144,15 @@ def test_verify_product_remez_validation():
                 check(spec, 2, 0.25, 0.5, bad, 5, 1, 1e-2)
 
 
+def test_verify_product_remez_refuses_a_set_past_1():
+    # a set of measure s inside [rho, 1] needs rho + s <= 1; past it the
+    # sampled sets would reach beyond 1, where the products are unchecked
+    spec = ProductSpaceSpec((squares(),))
+    a = estimate_alpha(squares(), 3, 0.25, 1, budget=3, seed=1, mesh=1e-2)
+    with pytest.raises(ConfigError, match=r"fits in \[rho, 1\]"):
+        verify_product_remez(spec, 3, 0.25, 0.9, [a], 5, 1, 1e-2)
+
+
 def test_inequality_chain_in_sample():
     # in-sample products must satisfy the derivation step-by-step
     s, rho, n = 0.25, 0.5, 3
