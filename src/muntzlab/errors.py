@@ -25,10 +25,10 @@ class UnboundedGrowthError(MuntzlabError):
 class ConvergenceError(MuntzlabError):
     """An iterative solver failed and no exact fallback recovered.
 
-    Raised when an exchange iteration cycles or reaches its iteration cap
-    and the exact alternative (the discrete minimax LP with a checked
-    alternation certificate, or 60-digit arithmetic) fails as well, or when
-    an LP solve itself fails.
+    Raised when an exchange stops without a certificate (a cycle, its
+    iteration cap or a stall) and the exact alternative (the discrete
+    minimax LP with a checked alternation certificate, or 60-digit
+    arithmetic) fails as well, or when an LP solve itself fails.
     """
 
 

@@ -18,6 +18,8 @@ optimal point and the row duals, or raises ConvergenceError.
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
 decimal arithmetic) runs in the one loop _exchange, which returns its last
 solve; the solvers supply a solve, and optionally the next-reference choice.
+An exchange either certifies its answer or fails (a cycle, the cap or a
+stall), and a failure goes to the exact fallback: the LP, or 60 digits.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -164,12 +166,12 @@ def _exchange(N: int, size: int, solve, what: str, propose=None,
       by default _trim_reference(ext, r, size).
 
     Starts from the reference `start`, or by default from `size` evenly
-    spread indices, and stops when solve is done, when r has fewer than
-    `size` alternating extrema, or when the reference does not move.  The
-    next reference is a function of the current one alone, so a repeated
-    reference means a cycle for good.  Returns (ref, state, failure) of the
-    last solve: failure is None, or a message naming the cycle or the
-    MAX_EXCHANGES cap.
+    spread indices.  The next reference is a function of the current one
+    alone, so a repeated reference means a cycle for good.  Returns
+    (ref, state, failure) of the last solve.  failure is None exactly when
+    that solve was done; otherwise it names the stop and the last level:
+    a cycle, the MAX_EXCHANGES cap, or a stall (r has fewer than `size`
+    alternating extrema, or the reference does not move).
     """
     if start is not None:
         ref = list(start)
@@ -188,11 +190,12 @@ def _exchange(N: int, size: int, solve, what: str, propose=None,
             return ref, state, None
         ext = _alternating_extrema(r)
         if len(ext) < size:
-            return ref, state, None  # residual too flat to exchange further
+            return ref, state, (f"exchange stopped with {len(ext)} of {size} "
+                                f"alternating extrema ({what} {level:.15g})")
         new_ref = (_trim_reference(ext, r, size) if propose is None
                    else propose(ref, ext, r, level))
         if new_ref == ref:
-            return ref, state, None
+            return ref, state, f"exchange stopped moving ({what} {level:.15g})"
         first = seen.get(tuple(new_ref))
         if first is not None:
             cyc = levels[first:]
@@ -249,11 +252,11 @@ def best_uniform_approx(
     carries an alternating reference of dimension+1 points; the minimum
     absolute residual there is a certified lower bound on the error.
 
-    If the exchange revisits a reference (a cycle, possible in floating
-    point) or reaches MAX_EXCHANGES, the same problem is solved exactly by
-    discrete_minimax_lp and the certificate is rebuilt from the LP residual;
-    ConvergenceError is raised if that certificate lacks dimension+1
-    alternating points or its relative gap exceeds tol.
+    Whenever the exchange stops without a certificate (a cycle, possible in
+    floating point, the MAX_EXCHANGES cap, or a stall), the same problem is
+    solved exactly by discrete_minimax_lp and the certificate is rebuilt
+    from the LP residual; ConvergenceError is raised if that certificate
+    lacks dimension+1 alternating points or its relative gap exceeds tol.
     """
     x = grid.as_array()
     f = np.asarray(f_values, dtype=float)
@@ -427,9 +430,10 @@ def _set_chebyshev(Q: np.ndarray):
     element alternating between +-1 at dimension many grid points with
     sup-norm 1.  Found by Remez-style exchange in Q coordinates.
 
-    Returns (b, ref): coordinates b with max |Q b| = 1 (within
-    SET_CHEBYSHEV_TOL) and the reference the exchange stopped on.  Raises
-    ConvergenceError when a reference repeats or after MAX_EXCHANGES steps.
+    Returns (b, ref, failure) of the exchange's last solve: coordinates b
+    with Q b = +-1 alternating on the reference ref, and failure None
+    exactly when max |Q b| <= 1 + SET_CHEBYSHEV_TOL certifies b, else the
+    exchange's message (a cycle, the MAX_EXCHANGES cap or a stall).
     """
     N, m = Q.shape
     sigma = np.array([(-1.0) ** i for i in range(m)])
@@ -441,14 +445,10 @@ def _set_chebyshev(Q: np.ndarray):
             raise ConditioningError("singular reference system") from exc
         vals = Q @ b
         M = float(np.max(np.abs(vals)))
-        return vals, M, M <= 1.0 + SET_CHEBYSHEV_TOL, (b, M)
+        return vals, M, M <= 1.0 + SET_CHEBYSHEV_TOL, b
 
-    ref, (b, M), failure = _exchange(N, m, solve, "M")
-    if failure is not None:
-        raise ConvergenceError(f"set-Chebyshev {failure}")
-    if M > 1.0 + SET_CHEBYSHEV_TOL:
-        b = b / M  # stationary without certifying M = 1: rescale to feasible
-    return b, ref
+    ref, b, failure = _exchange(N, m, solve, "M")
+    return b, ref, failure
 
 
 MP_VALUE_THRESHOLD = 1e8  # growth values above this take the 60-digit route
@@ -501,7 +501,8 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries,
 
     The exchange starts from the reference `start` (the one the double
     exchange stopped on), or by default from an even spread.  Returns
-    (values at queries, extremal coefficients).
+    (values at queries, extremal coefficients); ConvergenceError when the
+    exchange stops without a certificate.
     """
     m = len(exps)
     with localcontext(Context(prec=MP_DIGITS)):
@@ -562,20 +563,16 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     # maps each such query's index to its point, `values` to its value.
     outside = {i: y for i, y in enumerate(ys) if y < lo or y > hi}
     if outside:
-        try:
-            b, ref = _set_chebyshev(Q)
-            values = {i: abs(float(Qall[len(x) + i] @ b)) for i in outside}
-        except ConvergenceError:
-            # the double-precision exchange can cycle on ill-conditioned
-            # references; the 60-digit route solves the same problem,
-            # starting from the even spread
-            ref = values = None
-        if values is None or max(values.values()) > MP_VALUE_THRESHOLD:
-            # beyond double-precision reach: redo in 60-digit arithmetic
+        b, ref, failure = _set_chebyshev(Q)
+        values = {i: abs(float(Qall[len(x) + i] @ b)) for i in outside}
+        if failure is not None or max(values.values()) > MP_VALUE_THRESHOLD:
+            # uncertified (a cycle or stall on ill-conditioned references)
+            # or beyond double-precision reach: redo in 60-digit arithmetic
+            # from where the exchange stopped
             vals, coeffs = _set_chebyshev_mp(x, exps, list(outside.values()),
                                              start=ref)
             values = dict(zip(outside, vals))
-            shared = extremal(coeffs, basis_matrix(x, exps) @ np.asarray(coeffs))
+            shared = extremal(coeffs, V[: len(x)] @ np.asarray(coeffs))
         else:
             shared = extremal(np.linalg.solve(R, b), Q @ b)
 
@@ -591,9 +588,9 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
             active, value = tuple(x.tolist()), 1.0
         else:
             if grid_qr is None:
-                grid_qr = orthonormalize(basis_matrix(x, exps))
+                grid_qr = orthonormalize(V[: len(x)])
             Qg, Rg = grid_qr
-            q = np.linalg.solve(Rg.T, basis_matrix(np.array([y]), exps)[0])
+            q = np.linalg.solve(Rg.T, V[len(x) + i])
             b = _growth_lp(Qg, q)
             p, active = extremal(np.linalg.solve(Rg, b), Qg @ b)
             value = abs(float(q @ b))

@@ -294,6 +294,27 @@ def test_iteration_cap_falls_back_to_lp_and_checks_it(monkeypatch):
         best_uniform_approx(f, g, exps)
 
 
+def test_stalled_exchange_falls_back_to_lp(monkeypatch):
+    # a one-point exchange that never moves stalls the exchange on its first
+    # reference, far from optimal; that is a failure like a cycle, and the
+    # certified LP answers instead
+    solid = [[a, b] for a, b in fat_cantor(4).intervals if b > a]
+    g = discretize(normalize(solid), 1e-3)
+    x = g.as_array()
+    f = np.abs(2 * x - 1)
+    exps = truncate(squares(), 10)
+    want = best_uniform_approx(f, g, exps).error
+    monkeypatch.setattr(minimax, "_single_exchange", lambda ref, r: list(ref))
+    lps = []
+    real_lp = minimax.discrete_minimax_lp
+    monkeypatch.setattr(minimax, "discrete_minimax_lp",
+                        lambda B, f: lps.append(1) or real_lp(B, f))
+    res = best_uniform_approx(f, g, exps)
+    assert res.error == pytest.approx(want, rel=1e-9)
+    assert res.relative_gap <= 1e-6
+    assert len(lps) == 1
+
+
 def test_best_approx_input_validation():
     g = unit_grid(0.5)
     with pytest.raises(ConfigError):
@@ -496,8 +517,8 @@ def test_set_chebyshev_names_its_cycle_early(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    with pytest.raises(ConvergenceError, match=r"4-cycle of references"):
-        minimax._set_chebyshev(Q)
+    _, _, failure = minimax._set_chebyshev(Q)
+    assert "4-cycle of references" in failure
     assert len(solves) < 25
 
 
@@ -520,7 +541,7 @@ def test_set_chebyshev_mp_warm_start_gives_the_cold_bits():
     exps = [float(e) for e in range(13)]
     ys = np.linspace(0.0, 0.5, 33)
     Qall, _ = orthonormalize(basis_matrix(np.append(x, 0.0), exps))
-    _, ref = minimax._set_chebyshev(Qall[: len(x)])
+    _, ref, _ = minimax._set_chebyshev(Qall[: len(x)])
     cold = minimax._set_chebyshev_mp(x, exps, ys)
     warm = minimax._set_chebyshev_mp(x, exps, ys, start=ref)
     assert repr(warm) == repr(cold)
@@ -545,13 +566,17 @@ def test_growth_sweep_starts_the_60_digit_route_where_double_stopped(
     assert repr(sweep[0].extremal.coefficients) == repr(tuple(cold_coeffs))
 
 
+EVERY_ROUTE_SET = [[0.5, 0.6], [0.9, 1.0]]
+# outside the hull (twice the same query, above MP_VALUE_THRESHOLD, so the
+# 60-digit route), in the gap between the two intervals (a growth LP), at a
+# grid point, and outside again
+EVERY_ROUTE_QUERIES = [0.0, 0.75, 0.5, 0.0, 0.3]
+
+
 def test_growth_sweep_serves_every_route_in_query_order():
-    # one sweep over every route: outside the hull (twice the same query,
-    # above MP_VALUE_THRESHOLD, so the 60-digit route), at a grid point, in
-    # the gap between the two intervals (a growth LP), and outside again
-    g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
+    g = discretize(normalize(EVERY_ROUTE_SET), 1e-3)
     exps = truncate(arithmetic(0.5), 10)
-    ys = [0.0, 0.75, 0.5, 0.0, 0.3]
+    ys = EVERY_ROUTE_QUERIES
     sweep = growth_sweep(exps, g, ys)
     assert [r.query for r in sweep] == ys
     first, gap, grid_point, again, _ = sweep
@@ -560,6 +585,27 @@ def test_growth_sweep_serves_every_route_in_query_order():
     assert first.value > minimax.MP_VALUE_THRESHOLD
     assert grid_point.value == 1.0
     assert repr(gap.value) == repr(growth_functional(exps, g, 0.75).value)
+
+
+def test_growth_sweep_evaluates_its_basis_once(monkeypatch):
+    g = discretize(normalize(EVERY_ROUTE_SET), 1e-3)
+    calls = []
+    real = minimax.basis_matrix
+    monkeypatch.setattr(minimax, "basis_matrix",
+                        lambda *args: calls.append(1) or real(*args))
+    growth_sweep(truncate(arithmetic(0.5), 10), g, EVERY_ROUTE_QUERIES)
+    assert len(calls) == 1
+
+
+def test_growth_sweep_hands_an_uncertified_exchange_to_60_digits():
+    # criterion 5, arithmetic(1), n = 10, fat_cantor(3, (0.5, 1)): the
+    # double exchange stalls at M - 1 above SET_CHEBYSHEV_TOL with values
+    # under MP_VALUE_THRESHOLD; the 60-digit route answers, and 100 digits
+    # give the same bits.  The rescaled double answer was 32803229.9116202.
+    g = discretize(fat_cantor(3, carrier=(0.5, 1.0)), 1e-3)
+    sweep = growth_sweep(truncate(arithmetic(1.0), 10), g,
+                         np.linspace(0.0, 0.5, 33))
+    assert sweep[0].value == pytest.approx(32803090.30728739, rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -583,6 +629,16 @@ def test_set_chebyshev_mp_names_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(minimax, "MAX_EXCHANGES", 1)
     with pytest.raises(ConvergenceError,
                        match=re.escape("(mp) no convergence within 1")):
+        minimax._set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0])
+
+
+def test_set_chebyshev_mp_names_a_stall(monkeypatch):
+    # a residual without alternating extrema stops the exchange on its first
+    # reference (M = 87.8): an uncertified answer is an error, not a value
+    x = discretize(normalize([[0.75, 1.0]]), 1e-3).as_array()
+    monkeypatch.setattr(minimax, "_alternating_extrema", lambda r: [])
+    with pytest.raises(ConvergenceError,
+                       match="stopped with 0 of 13 alternating extrema"):
         minimax._set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0])
 
 
