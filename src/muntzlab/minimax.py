@@ -17,9 +17,11 @@ optimal point and the row duals, or raises ConvergenceError.
 
 Every exchange (best approximation, set-Chebyshev in double and in 60-digit
 decimal arithmetic) runs in the one loop _exchange, which returns its last
-solve; the solvers supply a solve, and optionally the next-reference choice.
-An exchange either certifies its answer or fails (a cycle, the cap or a
-stall), and a failure goes to the exact fallback: the LP, or 60 digits.
+solve; the solvers supply only a solve.  Each step moves to the strongest
+alternating set of the residual's extrema (_trim_reference), the one
+exchange rule.  An exchange either certifies its answer or fails (a cycle,
+the cap or a stall), and a failure goes to the exact fallback: the LP, or
+60 digits.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -28,7 +30,6 @@ evaluated basis and maps coefficients back at the end.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -133,45 +134,46 @@ def _alternating_extrema(r: np.ndarray) -> list[int]:
 
 
 def _trim_reference(ext: list[int], r: np.ndarray, size: int) -> list[int]:
-    """Shrink an alternating extremum list to `size` points, preserving
-    alternation and the global maximum: while two or more points too many
-    remain, drop the adjacent pair with the smallest peak (the first on a
-    tie); with one too many, drop the weaker endpoint (the first on a tie)."""
+    """Shrink an alternating extremum list to the `size` points that
+    alternate with the largest smallest |r|, keeping the global maximum.
+    While two or more points too many remain, drop the point of smallest
+    |r| (the first on a tie): alone at either end; inside, together with
+    its smaller neighbour (the left one on a tie), so that the larger
+    neighbour stands for both.  With one too many, drop the weaker endpoint
+    (the first on a tie)."""
     ext = list(ext)
     a = np.abs(r[ext]).tolist()
-    # peak[i] = max(a[i], a[i + 1]); dropping the pair i turns the pairs
-    # i - 1, i and i + 1 into the one pair (i - 1, i + 2)
-    peak = [max(u, v) for u, v in zip(a, a[1:])]
     while len(ext) > size + 1:
-        i = peak.index(min(peak))
-        peak[max(i - 1, 0):i + 2] = \
-            [max(a[i - 1], a[i + 2])] if 0 < i < len(a) - 2 else []
-        del ext[i:i + 2], a[i:i + 2]
+        i = a.index(min(a))
+        if 0 < i < len(a) - 1:
+            j = i - 1 if a[i - 1] <= a[i + 1] else i
+            del ext[j:j + 2], a[j:j + 2]
+        else:
+            del ext[i], a[i]
     if len(ext) > size:
         ext = ext[1:] if a[0] <= a[-1] else ext[:-1]
     return ext
 
 
-def _exchange(N: int, size: int, solve, what: str, propose=None,
+def _exchange(N: int, size: int, solve, what: str,
               start: list[int] | None = None):
     """The one reference-exchange loop on an N-point grid.  The exchange
-    solvers differ only in the functions they pass:
-
-    * solve(ref) -> (residual, level, done, state) solves on the reference
-      `ref`, a sorted list of `size` grid indices; `level` is the scalar the
-      exchange drives (`what` names it in messages), `state` what the solver
-      wants back from its last solve;
-    * propose(ref, ext, r, level) -> the next reference, given the
-      alternating extrema `ext` (at least `size` of them) of the residual r;
-      by default _trim_reference(ext, r, size).
+    solvers differ only in the solve they pass:
+    solve(ref) -> (residual, level, done, state) solves on the reference
+    `ref`, a sorted list of `size` grid indices; `level` is the scalar the
+    exchange drives (`what` names it in messages), `state` what the solver
+    wants back from its last solve.
 
     Starts from the reference `start`, or by default from `size` evenly
-    spread indices.  The next reference is a function of the current one
-    alone, so a repeated reference means a cycle for good.  Returns
-    (ref, state, failure) of the last solve.  failure is None exactly when
-    that solve was done; otherwise it names the stop and the last level:
-    a cycle, the MAX_EXCHANGES cap, or a stall (r has fewer than `size`
-    alternating extrema, or the reference does not move).
+    spread indices.  The next reference is _trim_reference of the
+    residual's alternating extrema: the `size` of them that alternate with
+    the largest smallest |r|, global maximum included (Stiefel 1960).  It
+    is a function of the current reference alone, so a repeated reference
+    means a cycle for good.  Returns (ref, state, failure) of the last
+    solve.  failure is None exactly when that solve was done; otherwise it
+    names the stop and the last level: a cycle, the MAX_EXCHANGES cap, or
+    a stall (r has fewer than `size` alternating extrema, or the reference
+    does not move).
     """
     if start is not None:
         ref = list(start)
@@ -192,8 +194,7 @@ def _exchange(N: int, size: int, solve, what: str, propose=None,
         if len(ext) < size:
             return ref, state, (f"exchange stopped with {len(ext)} of {size} "
                                 f"alternating extrema ({what} {level:.15g})")
-        new_ref = (_trim_reference(ext, r, size) if propose is None
-                   else propose(ref, ext, r, level))
+        new_ref = _trim_reference(ext, r, size)
         if new_ref == ref:
             return ref, state, f"exchange stopped moving ({what} {level:.15g})"
         first = seen.get(tuple(new_ref))
@@ -207,38 +208,6 @@ def _exchange(N: int, size: int, solve, what: str, propose=None,
         ref = new_ref
 
 
-def _single_exchange(ref: list[int], r: np.ndarray) -> list[int]:
-    """Classical one-point exchange: swap the global argmax of |r| into the
-    reference so that residual signs keep alternating.  In exact arithmetic
-    this strictly increases the leveled error, which rules out cycling; in
-    floating point, on ill-conditioned reference systems, it need not, and
-    _exchange catches the revisited reference."""
-    z = int(np.argmax(np.abs(r)))
-    if z in ref:
-        return list(ref)
-    s = math.copysign(1.0, r[z])
-    out = list(ref)
-    i = bisect.bisect_left(out, z)
-    if i == 0:
-        if math.copysign(1.0, r[out[0]]) == s:
-            out[0] = z
-        else:
-            out.insert(0, z)
-            out.pop()
-    elif i == len(out):
-        if math.copysign(1.0, r[out[-1]]) == s:
-            out[-1] = z
-        else:
-            out.append(z)
-            out.pop(0)
-    else:
-        if math.copysign(1.0, r[out[i - 1]]) == s:
-            out[i - 1] = z
-        else:
-            out[i] = z
-    return sorted(out)
-
-
 def best_uniform_approx(
     f_values,
     grid: Grid,
@@ -246,7 +215,9 @@ def best_uniform_approx(
     tol: float = DEFAULT_TOL,
 ) -> EquioscillationResult:
     """Best uniform approximation to samples f on the grid from
-    span{x^lambda_j}, by discrete Remez exchange.
+    span{x^lambda_j}, by discrete Remez exchange: every step moves the
+    whole reference of dimension+1 points to the strongest alternating set
+    of the residual's extrema (_trim_reference).
 
     Finite Muntz systems are Chebyshev systems on [0,1], so the optimum
     carries an alternating reference of dimension+1 points; the minimum
@@ -277,15 +248,12 @@ def best_uniform_approx(
     Q, R = orthonormalize(V)
 
     sigma = np.array([(-1.0) ** i for i in range(m + 1)])
-    proposed = {}  # tuple(ref) -> the guard's solution on the proposed ref
 
     def solve(ref):
-        sol = proposed.pop(tuple(ref), None)
-        if sol is None:
-            try:
-                sol = np.linalg.solve(np.column_stack([Q[ref], sigma]), f[ref])
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError("singular reference system") from exc
+        try:
+            sol = np.linalg.solve(np.column_stack([Q[ref], sigma]), f[ref])
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError("singular reference system") from exc
         b, E = sol[:m], sol[m]
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
@@ -294,26 +262,8 @@ def best_uniform_approx(
                 or err <= 1e-12 * scale)
         return r, abs(float(E)), done, (b, r, err)
 
-    def propose(ref, ext, r, E):
-        # Accept the multi-point exchange only if the leveled error strictly
-        # grows; otherwise fall back to the one-point exchange.  Without this
-        # guard the multi-exchange can cycle; in floating point the one-point
-        # exchange can too, which _exchange catches.
-        new_ref = _trim_reference(ext, r, m + 1)
-        if new_ref != ref:
-            try:
-                sol = np.linalg.solve(np.column_stack([Q[new_ref], sigma]),
-                                      f[new_ref])
-            except np.linalg.LinAlgError:
-                sol = None
-            if sol is None or abs(sol[m]) <= E * (1.0 + 1e-13):
-                return _single_exchange(ref, r)
-            proposed[tuple(new_ref)] = sol  # solve(new_ref) reuses it
-            return new_ref
-        return _single_exchange(ref, r)
-
     ref, (b, r, err), failure = _exchange(len(x), m + 1, solve,
-                                          "leveled error", propose)
+                                          "leveled error")
     if failure is not None:
         # Exchange is the dual simplex method on the discrete Chebyshev LP
         # (Stiefel 1960), so the LP solves the same problem exactly; its

@@ -28,6 +28,8 @@ from muntzlab.minimax import (
 from muntzlab.exponents import arithmetic, squares, truncate
 from muntzlab.muntzeval import basis_matrix
 from muntzlab.sets import Grid, discretize, fat_cantor, normalize
+from test_acceptance import _check_certificate as check_certificate
+from test_acceptance import large_corpus, small_corpus
 
 
 def unit_grid(mesh=1e-3):
@@ -74,24 +76,18 @@ def loop_alternating_extrema(r):
     return out
 
 
-def loop_trim_reference(ext, r, size):
-    """Reference for minimax._trim_reference: the loop it replaced."""
-    ext = list(ext)
-    while len(ext) > size:
-        if len(ext) - size == 1:
-            # drop the weaker endpoint
-            if abs(r[ext[0]]) <= abs(r[ext[-1]]):
-                ext.pop(0)
-            else:
-                ext.pop()
-        else:
-            # drop the adjacent pair with the smallest peak
-            pair = min(
-                range(len(ext) - 1),
-                key=lambda i: max(abs(r[ext[i]]), abs(r[ext[i + 1]])),
-            )
-            del ext[pair:pair + 2]
-    return ext
+def best_alternating_level(v, size):
+    """Reference for minimax._trim_reference: the largest smallest |v| over
+    all choices of `size` entries of v whose signs alternate, i.e. the
+    largest tau such that the entries with |v| >= tau form at least `size`
+    sign runs.  v has no zeros."""
+    best = 0.0
+    for tau in set(np.abs(v).tolist()):
+        signs = [t > 0 for t in v if abs(t) >= tau]
+        runs = 1 + sum(s != t for s, t in zip(signs, signs[1:]))
+        if runs >= size:
+            best = max(best, tau)
+    return best
 
 
 # ---------------------------------------------------------------- chebyshev
@@ -156,8 +152,19 @@ def test_exchange_helpers_match_the_loops(values):
     assert ext == loop_alternating_extrema(r)
     assert all(type(i) is int for i in ext)
     for size in range(1, len(ext) + 2):
-        assert minimax._trim_reference(ext, r, size) == \
-            loop_trim_reference(ext, r, size)
+        ref = minimax._trim_reference(ext, r, size)
+        if size > len(ext):
+            assert ref == ext
+            continue
+        # `size` of the extrema, alternating, with the best smallest |r|
+        # that any alternating choice of `size` extrema has, and the global
+        # maximum among them
+        assert len(ref) == size and set(ref) <= set(ext)
+        assert ref == sorted(ref)
+        v = r[ref]
+        assert all(s * t < 0 for s, t in zip(np.sign(v), np.sign(v[1:])))
+        assert np.min(np.abs(v)) == best_alternating_level(r[ext], size)
+        assert np.max(np.abs(v)) == np.max(np.abs(r))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -257,10 +264,11 @@ def test_error_nonincreasing_in_dimension():
 
 def test_exchange_cycle_falls_back_to_certified_lp():
     # Squares at n = 16 on fat_cantor(6): the reference matrices reach
-    # condition numbers of 1e11..1e17 and the floating-point exchange falls
-    # into a 2-cycle.  The result must be the discrete minimax optimum (the
-    # LP, independently solved in the raw monomial basis) and still carry a
-    # checked alternation certificate.
+    # condition numbers of 1e11..1e17, where a floating-point exchange can
+    # cycle into the LP fallback (a trim that dropped adjacent pairs did;
+    # the best-alternating-set trim certifies here).  Either way the result
+    # must be the discrete minimax optimum (the LP, independently solved in
+    # the raw monomial basis) and carry a checked alternation certificate.
     solid = [[a, b] for a, b in fat_cantor(6).intervals if b > a]
     g = discretize(normalize(solid), 1e-3)
     x = g.as_array()
@@ -295,16 +303,24 @@ def test_iteration_cap_falls_back_to_lp_and_checks_it(monkeypatch):
 
 
 def test_stalled_exchange_falls_back_to_lp(monkeypatch):
-    # a one-point exchange that never moves stalls the exchange on its first
-    # reference, far from optimal; that is a failure like a cycle, and the
-    # certified LP answers instead
+    # a first residual without alternating extrema stalls the exchange on
+    # its first reference, far from optimal; that is a failure like a
+    # cycle, and the certified LP answers instead
     solid = [[a, b] for a, b in fat_cantor(4).intervals if b > a]
     g = discretize(normalize(solid), 1e-3)
     x = g.as_array()
     f = np.abs(2 * x - 1)
     exps = truncate(squares(), 10)
     want = best_uniform_approx(f, g, exps).error
-    monkeypatch.setattr(minimax, "_single_exchange", lambda ref, r: list(ref))
+    real_extrema = minimax._alternating_extrema
+    extrema_calls = []
+
+    def none_at_first(r):
+        # the exchange's residual shows none; the LP's shows its own
+        extrema_calls.append(1)
+        return [] if len(extrema_calls) == 1 else real_extrema(r)
+
+    monkeypatch.setattr(minimax, "_alternating_extrema", none_at_first)
     lps = []
     real_lp = minimax.discrete_minimax_lp
     monkeypatch.setattr(minimax, "discrete_minimax_lp",
@@ -313,6 +329,22 @@ def test_stalled_exchange_falls_back_to_lp(monkeypatch):
     assert res.error == pytest.approx(want, rel=1e-9)
     assert res.relative_gap <= 1e-6
     assert len(lps) == 1
+    assert len(extrema_calls) == 2
+
+
+def test_lp_fallback_certifies_every_corpus_case(monkeypatch):
+    # criteria 2 and 3 with the exchange cut after one solve: the LP answers
+    # every case the exchange does not certify at once, and its certificate
+    # must hold on an exact optimum too (small-corpus case 3, where a trim
+    # that dropped adjacent pairs kept a point below the peak of |r|)
+    cases = [(Grid(tuple(float(t) for t in pts), normalize([[0.0, 1.0]]), 1.0),
+              f, exps) for pts, f, exps in small_corpus()] + large_corpus()
+    want = [best_uniform_approx(f, g, exps).error for g, f, exps in cases]
+    monkeypatch.setattr(minimax, "MAX_EXCHANGES", 1)
+    for (g, f, exps), err in zip(cases, want):
+        res = best_uniform_approx(f, g, exps)
+        check_certificate(res, f, g.as_array(), exps)
+        assert res.error == pytest.approx(err, rel=1e-9)
 
 
 def test_best_approx_input_validation():
@@ -493,33 +525,54 @@ def test_growth_large_values_match_chebyshev():
 
 
 def test_growth_sweep_survives_cycling_double_exchange():
-    # [DERIVED] T_12(7): the double-precision set-Chebyshev exchange cycles
-    # on this 33-query sweep (a single query builds a different Q and does
-    # not), so the value must come from the 60-digit route
+    # [DERIVED] T_12(7): the double-precision set-Chebyshev exchange stops
+    # moving at M = 1.00003 on this 33-query sweep, short of a certificate,
+    # so the value must come from the 60-digit route
     g = discretize(normalize([[0.75, 1.0]]), 1e-3)
     sweep = growth_sweep(range(13), g, np.linspace(0.0, 0.5, 33))
     assert sweep[0].query == 0.0
     assert sweep[0].value == pytest.approx(chebyshev_T(12, 7.0), rel=1e-2)
 
 
-def test_set_chebyshev_names_its_cycle_early(monkeypatch):
-    # The same sweep's double exchange enters a 4-cycle of references; it
-    # must be caught on its first repeat, not after MAX_EXCHANGES steps.
-    x = discretize(normalize([[0.75, 1.0]]), 1e-3).as_array()
-    ys = np.linspace(0.0, 0.5, 33)
-    Qall, _ = orthonormalize(basis_matrix(np.concatenate([x, ys]), range(13)))
-    Q = Qall[: len(x)]
-    solves = []
-    real_solve = np.linalg.solve
+def test_exchange_names_each_stop_at_once(monkeypatch):
+    # A synthetic solve on 6 points: its residual is +-1 at the pair of
+    # indices `step` gives for the reference and 0 elsewhere, so the next
+    # reference is exactly that pair; the level is the solve count.
+    def run(step):
+        solved = []
 
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return real_solve(*args, **kwargs)
+        def solve(ref):
+            solved.append(tuple(ref))
+            nxt = list(step(tuple(ref)))
+            r = np.zeros(6)
+            r[nxt] = [1.0, -1.0][: len(nxt)]
+            return r, float(len(solved)), False, len(solved)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    _, _, failure = minimax._set_chebyshev(Q)
-    assert "4-cycle of references" in failure
-    assert len(solves) < 25
+        ref, state, failure = minimax._exchange(6, 2, solve, "M",
+                                                start=[0, 1])
+        assert state == len(solved)  # the state of the last solve
+        return solved, ref, failure
+
+    # (0,1) -> (2,3) -> (4,5) -> (2,3): a 2-cycle, named before the
+    # repeated reference is solved again
+    chain = {(0, 1): (2, 3), (2, 3): (4, 5), (4, 5): (2, 3)}
+    solved, ref, failure = run(chain.get)
+    assert solved == [(0, 1), (2, 3), (4, 5)] and ref == [4, 5]
+    assert failure == ("exchange fell into a 2-cycle of references at step 1 "
+                       "(M between 2 and 3)")
+    # a reference that does not move stops at its first repeat
+    solved, _, failure = run(lambda ref: ref)
+    assert solved == [(0, 1)]
+    assert failure == "exchange stopped moving (M 1)"
+    # a residual with too few alternating extrema stops at once
+    solved, _, failure = run(lambda ref: (3,))
+    assert solved == [(0, 1)]
+    assert failure == "exchange stopped with 1 of 2 alternating extrema (M 1)"
+    # and the cap stops a chain that never repeats
+    monkeypatch.setattr(minimax, "MAX_EXCHANGES", 2)
+    solved, _, failure = run(lambda ref: (ref[1], ref[1] + 1))
+    assert solved == [(0, 1), (1, 2)]
+    assert failure == "no convergence within 2 exchanges"
 
 
 def counting_decimal_solves(monkeypatch):
@@ -535,8 +588,9 @@ def counting_decimal_solves(monkeypatch):
 
 
 def test_set_chebyshev_mp_warm_start_gives_the_cold_bits():
-    # the criterion-5 case: the 33-query sweep cycles in double precision,
-    # a single query does not and gives a reference to start from
+    # the criterion-5 case: the double exchange of a single query (its own
+    # Q) stops moving at M = 1.00001, uncertified, and gives a reference to
+    # start from
     x = discretize(normalize([[0.75, 1.0]]), 1e-3).as_array()
     exps = [float(e) for e in range(13)]
     ys = np.linspace(0.0, 0.5, 33)
