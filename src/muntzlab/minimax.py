@@ -554,7 +554,9 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float
     (no Chebyshev-system assumption), as a dense LP.
 
     Numerically dependent columns are projected out via column-pivoted QR;
-    their coefficients come back as 0.
+    their coefficients come back as 0.  The error returned is the residual
+    max |f - Q b| of the LP's point b in its QR coordinates, not the LP's
+    level t, which can understate it.
     """
     N, m = B.shape
     col_scale = np.max(np.abs(B), axis=0)
@@ -592,4 +594,4 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float
     b = x[:k]
     coeffs = np.zeros(m)
     coeffs[keep] = np.linalg.solve(R, b)
-    return coeffs, float(x[-1])
+    return coeffs, float(np.max(np.abs(f - Q @ b)))

@@ -1,5 +1,6 @@
 """Products of Muntz spaces: superlevel-set measures, empirical alpha
-constants, the product Remez bound c = alpha_1 ... alpha_k, four-square
+constants (each the exact smallest value that its samples need on the cell
+grid), the product Remez bound c = alpha_1 ... alpha_k, four-square
 monomial witnesses, and a coordinate-descent non-density search."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from muntzlab.errors import ConfigError, ConvergenceError
+from muntzlab.errors import ConfigError, UnboundedGrowthError
 from muntzlab.exponents import ExponentSequence, truncate
 from muntzlab.minimax import discrete_minimax_lp, growth_sweep, orthonormalize
 from muntzlab.muntzeval import MuntzPolynomial, basis_matrix
@@ -18,7 +19,6 @@ from muntzlab.remezlab import QUERY_POINTS, default_set_family
 from muntzlab.sets import Grid, discretize, fat_cantor, normalize
 
 ALPHA_Y_POINTS = 16  # y grid on [0, 1 - s] for alpha estimation
-ALPHA_BISECTION_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -150,31 +150,24 @@ def draw_alpha_samples(
 
 
 def _needed_alpha(pv: np.ndarray, w: float, py: float, target: float) -> float:
-    """Smallest alpha with w * #{|p| > py/alpha} >= target, by bisection
-    to ALPHA_BISECTION_REL relative."""
-    if target <= 0:
-        return 1.0
+    """Smallest float alpha >= 1 with w * #{pv > py/alpha} >= target - 1e-12.
 
-    def ok(alpha: float) -> bool:
-        return w * int(np.count_nonzero(pv > py / alpha)) >= target - 1e-12
-
-    if py == 0.0:
-        # superlevel set is {p != 0}; alpha-independent
-        return 1.0 if ok(1.0) else math.inf
-    if ok(1.0):
+    With K the fewest cells that reach the target and v the K-th largest
+    entry of pv, the count holds exactly when py / alpha < v, so alpha is
+    py / v, raised to the next float while the rounded quotient misses.
+    UnboundedGrowthError when no finite alpha exists (v = 0)."""
+    K = int(np.searchsorted(w * np.arange(len(pv) + 1), target - 1e-12))
+    if K == 0:
         return 1.0
-    lo, hi = 1.0, 2.0
-    while not ok(hi):
-        lo, hi = hi, hi * 2.0
-        if hi > 1e15:
-            raise ConvergenceError("alpha bisection diverged")
-    while hi - lo > ALPHA_BISECTION_REL * lo:
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    v = float(np.partition(pv, -K)[-K])
+    alpha = max(1.0, py / v) if v > 0.0 else math.inf
+    while alpha < math.inf and not py / alpha < v:
+        alpha = math.nextafter(alpha, math.inf)
+    if alpha == math.inf:
+        raise UnboundedGrowthError(
+            f"no finite alpha: fewer than {K} cells of [y, 1] have "
+            f"|p| > |p(y)| / alpha for any alpha (|p(y)| = {py:.3e})")
+    return alpha
 
 
 def alpha_y_grid(s: float) -> np.ndarray:
@@ -191,22 +184,23 @@ def estimate_alpha(
     mesh: float,
     j: int = 0,
 ) -> AlphaEstimate:
-    """Empirical per-factor constant: the smallest alpha such that every
-    sampled span element p and every y on a grid of [0, 1-s] satisfies
-    m({x in [y,1] : |p(x)| > |p(y)|/alpha}) >= 1 - y - s/(2k)."""
+    """Empirical per-factor constant: the smallest float alpha >= 1 such
+    that every sampled span element p and every y on a grid of [0, 1-s]
+    satisfies m({x in [y,1] : |p(x)| > |p(y)|/alpha}) >= 1 - y - s/(2k),
+    exactly, with the measure counted on the cells of _cells(y, mesh) and
+    p evaluated as inequality_chain_report evaluates it."""
     if not 0.0 < s < 1.0:
         raise ConfigError("s must lie in (0, 1)")
+    if k < 1:
+        raise ConfigError("k must be >= 1")
     samples = draw_alpha_samples(seq_j, n, s, budget, seed, mesh, j=j)
     alpha = 1.0
     for y in alpha_y_grid(s):
         mids, w = _cells(y, mesh)
         target = 1.0 - y - s / (2.0 * k)
-        V = basis_matrix(mids, truncate(seq_j, n))
-        Vy = basis_matrix(np.array([y]), truncate(seq_j, n))[0]
         for p in samples:
-            coeffs = np.asarray(p.coefficients)
-            pv = np.abs(V @ coeffs)
-            py = abs(float(Vy @ coeffs))
+            pv = np.abs(np.asarray(p(mids)))
+            py = abs(float(p(y)))
             alpha = max(alpha, _needed_alpha(pv, w, py, target))
     return AlphaEstimate(j=j, n=n, s=s, k=k, alpha=alpha,
                          sample_count=len(samples))

@@ -433,11 +433,19 @@ def test_probe_config_is_refused_in_one_line(name, field, value):
     assert_refused(name.split(".")[0], cfg)
 
 
-def test_readme_examples_run():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_examples():
+    """(config text, command line) of each CLI example in README.md."""
     pairs = re.findall(r"echo '([^']*)' > cfg\.json\n(muntzlab [^\n]*)",
-                       readme.read_text(encoding="utf-8"))
+                       (ROOT / "README.md").read_text(encoding="utf-8"))
     assert len(pairs) == 5
+    return pairs
+
+
+def test_readme_examples_run():
+    pairs = readme_examples()
     with tempfile.TemporaryDirectory() as tmp:
         for cfg, command in pairs:
             args = shlex.split(command)[1:]
@@ -448,3 +456,24 @@ def test_readme_examples_run():
                 args[args.index("--out") + 1] = str(Path(tmp) / "out.csv")
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(args) == 0, command
+
+
+def test_readme_examples_are_the_benchmarked_ones(monkeypatch):
+    # perfbench/cli_readme.py times the README examples, so its copy of
+    # them must not drift from README.md
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import cli_readme
+
+    def seed(args):
+        return args[args.index("--seed") + 1] if "--seed" in args else None
+
+    pairs = readme_examples()
+    assert len(pairs) == len(cli_readme.EXAMPLES)
+    for (cfg, command), (name, (cmd, config)) in zip(pairs,
+                                                    cli_readme.EXAMPLES.items()):
+        args = shlex.split(command)[1:]
+        assert args[0] == cmd
+        assert json.loads(cfg) == config
+        assert seed(args) == seed(cli_readme.cli_args(name, Path("cfg.json"),
+                                                      Path("out.csv"), 0))
+        assert seed(args) == ("42" if name == "products" else None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import muntzlab.products as products
-from muntzlab.errors import ConfigError
+from muntzlab.errors import ConfigError, UnboundedGrowthError
 from muntzlab.exponents import arithmetic, explicit, squares, truncate
 from muntzlab.minimax import best_uniform_approx, discrete_minimax_lp
 from muntzlab.muntzeval import MuntzPolynomial, basis_matrix
@@ -86,6 +86,9 @@ def test_estimate_alpha_basic_properties():
     assert est.sample_count >= 10
     with pytest.raises(ConfigError):
         estimate_alpha(squares(), 3, 1.5, 2, budget=5, seed=5, mesh=1e-2)
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            estimate_alpha(squares(), 3, 0.25, k, budget=5, seed=5, mesh=1e-2)
 
 
 def test_estimate_alpha_monotone_in_budget():
@@ -97,21 +100,64 @@ def test_estimate_alpha_monotone_in_budget():
     assert lo.alpha >= 1.0 and hi.alpha >= 1.0
 
 
-def test_alpha_covers_its_own_samples():
-    # defining property: every sample satisfies the superlevel bound at
-    # every y on the estimation grid, with alpha as the threshold
-    from muntzlab.products import _cells, alpha_y_grid
-
-    s, k, n = 0.25, 2, 3
-    est = estimate_alpha(squares(), n, s, k, budget=8, seed=3, mesh=1e-2)
-    samples = draw_alpha_samples(squares(), n, s, 8, seed=3, mesh=1e-2)
-    assert len(samples) == est.sample_count
-    rel = 2e-3  # alpha bisection resolves to 1e-3 relative
-    for y in alpha_y_grid(s):
+def uncovered(samples, alpha, s, k, mesh):
+    """The (sample, y) pairs whose superlevel set at threshold
+    |p(y)| / alpha, tested as inequality_chain_report tests it, falls short
+    of the measure 1 - y - s/(2k) on the cells of [y, 1]."""
+    bad = []
+    for y in products.alpha_y_grid(s):
+        mids, w = products._cells(y, mesh)
         target = 1.0 - y - s / (2 * k)
-        for p in samples:
-            m = superlevel_measure(p, y, 1.0 / (est.alpha * (1 + rel)), 1e-2)
-            assert m >= target - 1e-9
+        for i, p in enumerate(samples):
+            pv = np.abs(np.asarray(p(mids)))
+            py = abs(float(p(y)))
+            if w * int(np.count_nonzero(pv > py / alpha)) < target - 1e-12:
+                bad.append((i, float(y)))
+    return bad
+
+
+def assert_smallest_alpha(est, samples, mesh):
+    """Defining property, with no slack: every sample satisfies the
+    superlevel bound at every y of the estimation grid at alpha, and some
+    sample fails it at the next float below."""
+    assert len(samples) == est.sample_count
+    assert type(est.alpha) is float and est.alpha > 1.0
+    assert uncovered(samples, est.alpha, est.s, est.k, mesh) == []
+    assert uncovered(samples, math.nextafter(est.alpha, 0.0), est.s, est.k,
+                     mesh)
+
+
+def test_alpha_covers_its_own_samples():
+    est = estimate_alpha(squares(), 3, 0.25, 2, budget=8, seed=3, mesh=1e-2)
+    samples = draw_alpha_samples(squares(), 3, 0.25, 8, seed=3, mesh=1e-2)
+    assert_smallest_alpha(est, samples, 1e-2)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_criterion_6_alphas_are_the_smallest(j):
+    # both factors of the criterion-6 chain share the extremal that sets
+    # their alpha
+    est = estimate_alpha(squares(), 6, 0.25, 2, 25, 42, 1e-3, j=j)
+    assert est.alpha == 17090.79100928129
+    assert_smallest_alpha(est, draw_alpha_samples(squares(), 6, 0.25, 25, 42,
+                                                  1e-3, j=j), 1e-3)
+
+
+def test_needed_alpha_is_exact_or_refused():
+    w, target = 0.25, 0.75  # three of the four cells are needed
+    # the third largest value is 0: no finite alpha, whether p(y) is 0 or not
+    for py in (0.0, 1.0):
+        with pytest.raises(UnboundedGrowthError, match="no finite alpha"):
+            products._needed_alpha(np.array([0.0, 0.0, 1.0, 2.0]), w, py,
+                                   target)
+    # a finite alpha far above 1e15 is returned, and it is the smallest
+    pv = np.array([0.0, 3e-17, 1.0, 2.0])
+    alpha = products._needed_alpha(pv, w, 1.0, target)
+    assert alpha > 1e16
+    assert np.count_nonzero(pv > 1.0 / alpha) == 3
+    assert np.count_nonzero(pv > 1.0 / math.nextafter(alpha, 0.0)) == 2
+    # a target of 0 needs no cell, so alpha is 1
+    assert products._needed_alpha(pv, w, 1.0, 0.0) == 1.0
 
 
 def test_verify_product_remez_no_violations():
@@ -328,7 +374,10 @@ def test_search_reuses_lps_on_criterion_8(monkeypatch):
     oracle_calls = counting_lp(monkeypatch, sys.modules[__name__])
     oracle = plain_coordinate_descent(f, x, spec, **args)
     assert_same_bits(rep, oracle)
-    assert rep.best_error_by_round[-1] == 5.634587149095272e-2
+    # the reported error is the residual of the factors that are returned
+    assert rep.best_error_by_round[-1] == 5.634587149095466e-2
+    assert rep.best_error_by_round[-1] == pytest.approx(
+        np.max(np.abs(f - eval_product(rep.best, x))), rel=1e-12)
     # no dead product here, so oracle LP i is restart i // 80; the search
     # solves exactly the LPs whose input is new to that restart, whichever
     # factor asked first (in restart 0, factors 1, 2 and 3 all start from
@@ -341,7 +390,7 @@ def test_search_reuses_lps_on_criterion_8(monkeypatch):
             seen.add((i // 80, key))
             new.append(key)
     assert calls == new
-    assert len(calls) == 98
+    assert len(calls) == 109
 
 
 def test_search_k1_matches_plain_descent_with_one_lp_per_restart(monkeypatch):
@@ -386,5 +435,5 @@ def test_alpha_samples_hold_one_extremal_and_keep_alpha():
     assert len(samples) == 26
     assert len({p.coefficients for p in samples}) == len(samples)
     est = estimate_alpha(squares(), 4, 0.25, 1, 25, 42, 1e-3)
-    assert est.alpha == 1217.7480857627863
-    assert est.sample_count == 26
+    assert est.alpha == 1217.1235377985952
+    assert_smallest_alpha(est, samples, 1e-3)
