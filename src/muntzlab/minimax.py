@@ -10,18 +10,24 @@ Two solvers share one orthonormalization front end:
   set-Chebyshev element outside the constraint hull; inside it, 1 at a
   grid point and one LP with a checked duality certificate elsewhere.
 
-Both LPs (that growth LP, and the discrete minimax LP on which the
-exchange falls back) run HiGHS dual simplex through one door, _highs_lp, a
-direct call into the HiGHS bindings that scipy ships; it returns the
-optimal point and the row duals, or raises ConvergenceError.
+The discrete minimax LP (min over b of max |f - Q b|, on which the
+exchange falls back and which the product search solves) is answered by
+Stiefel's exchange (_stiefel): the simplex method on its dual, whose
+bases are references of k + 1 grid points, valid without a Haar
+condition.  When that exchange fails, HiGHS dual simplex answers.  Both
+LPs that HiGHS solves (that one, and the growth LP) go through one door,
+_highs_lp, a direct call into the HiGHS bindings that scipy ships; it
+returns the optimal point and the row duals, or raises ConvergenceError.
 
-Every exchange (best approximation, set-Chebyshev in double and in 60-digit
-decimal arithmetic) runs in the one loop _exchange, which returns its last
-solve; the solvers supply only a solve.  Each step moves to the strongest
-alternating set of the residual's extrema (_trim_reference), the one
-exchange rule.  An exchange either certifies its answer or fails (a cycle,
-the cap or a stall), and a failure goes to the exact fallback: the LP, or
-60 digits.
+Every exchange on alternating references (best approximation,
+set-Chebyshev in double and in 60-digit decimal arithmetic) runs in the one
+loop _exchange, which returns its last solve; the solvers supply only a
+solve.  Each step moves to the strongest alternating set of the residual's
+extrema (_trim_reference), the one exchange rule.  An exchange either
+certifies its answer or fails (a cycle, the cap or a stall), and a failure
+goes to the exact fallback: the LP, or 60 digits.  The LP's exchange keeps
+its own loop, as its references need not alternate: it drops the point
+that the ratio test on the dual weights picks.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -268,7 +274,7 @@ def best_uniform_approx(
         # Exchange is the dual simplex method on the discrete Chebyshev LP
         # (Stiefel 1960), so the LP solves the same problem exactly; its
         # residual supplies the alternating reference for the certificate.
-        b, _ = discrete_minimax_lp(Q, f)
+        b, _, _ = discrete_minimax_lp(Q, f)
         r = f - Q @ b
         err = float(np.max(np.abs(r)))
         ref = _trim_reference(_alternating_extrema(r), r, m + 1)
@@ -549,21 +555,129 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     return out
 
 
-def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+MINIMAX_CERT_RTOL = 1e-12  # max |r| over the dual bound h that certifies
+MINIMAX_WEIGHT_TOL = 1e-12  # dual weights (of sum 1) at most this are 0
+NEAR_LEVEL_RTOL = 1e-6  # |r| this close to max |r| may be on an optimal reference
+
+
+def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
+    """Stiefel's exchange for min over b of max |f - Q b|: the simplex
+    method on the dual LP
+
+        max sum mu_i s_i f_i  s.t.  sum mu_i s_i q_i = 0,  sum mu_i = 1,
+                                    mu >= 0,
+
+    whose k + 1 rows make every basis a reference of k + 1 rows i with
+    signs s_i (Stiefel 1960; Barrodale & Phillips 1975).  The leveled
+    system [Q_ref | s] (b, h) = f_ref gives the point b and the dual value
+    h, the last row of its inverse the weights s mu.  Each step brings in
+    the row of largest |r| with the sign of r and drops the one that the
+    ratio test on mu picks, so mu stays >= 0: no Haar condition is needed.
+    Signs that do not make mu >= 0 (at the start, or after rounding) are
+    replaced by those of the weights, once in a row.  That re-signing is
+    not a simplex step and can lower h, which a ratio-test step never
+    does; so h below that of the last step with mu >= 0 ends the exchange
+    as a cycle.
+
+    Starts from the reference `start` (row indices), or from k + 1 evenly
+    spread rows, and stops when max |r| <= h (1 + MINIMAX_CERT_RTOL): h is
+    a lower bound on the optimum by weak duality, so b is optimal to that
+    tolerance.  Every step factors its matrix afresh: one LU solve gives
+    (b, h) and the inverse.  Returns (ref, b, h, r) of that step, or None
+    when the exchange fails: a singular reference, signs that stay
+    inconsistent, an entering row already in the reference, no positive
+    ratio, a fall of h, the MAX_EXCHANGES cap, or a dual weight of at most
+    MINIMAX_WEIGHT_TOL at the end (the optimal b may then not be unique).
+    """
+    N, k = Q.shape
+    if start is None or len(start) != k + 1 or max(start) >= N:
+        start = np.linspace(0, N - 1, k + 1).round().astype(int)
+    ref = [int(i) for i in start]
+    if len(set(ref)) != k + 1 or not np.isfinite(f).all():
+        return None
+    sigma = np.array([(-1.0) ** i for i in range(k + 1)])
+    resigned, h_last = False, 0.0
+    rhs = np.eye(k + 1, k + 2, 1)  # (f_ref, I): (b, h) and the inverse
+    for _ in range(MAX_EXCHANGES):
+        rhs[:, 0] = f[ref]
+        try:
+            X = np.linalg.solve(np.column_stack([Q[ref], sigma]), rhs)
+        except np.linalg.LinAlgError:
+            return None
+        b, h, Ainv = X[:k, 0], X[k, 0], X[:, 1:]
+        if h < 0.0:  # the opposite signs make the same mu, with -h
+            sigma, h, Ainv[k] = -sigma, -h, -Ainv[k]
+        mu = sigma * Ainv[k]
+        if np.any(mu < 0.0):
+            if resigned:
+                return None
+            sigma, resigned = np.where(Ainv[k] < 0.0, -1.0, 1.0), True
+            continue
+        if h < h_last:
+            return None
+        resigned, h_last = False, h
+        r = f - Q @ b
+        p = int(np.argmax(np.abs(r)))
+        if abs(r[p]) <= h * (1.0 + MINIMAX_CERT_RTOL):
+            # with a weight of 0 the optimal b need not be unique, and which
+            # one the exchange reaches would depend on where it started
+            return (ref, b, h, r) if mu.min() > MINIMAX_WEIGHT_TOL else None
+        if p in ref:
+            return None
+        s = 1.0 if r[p] > 0.0 else -1.0
+        d = sigma * (s * (Ainv.T @ np.append(Q[p], s)))
+        pos = np.flatnonzero(d > 0.0)
+        if pos.size == 0:
+            return None
+        j = int(pos[np.argmin(mu[pos] / d[pos])])
+        ref[j], sigma[j] = p, s
+    return None
+
+
+def _minimax_exchange(Q: np.ndarray, f: np.ndarray, start=None):
+    """min over b of max |f - Q b| by Stiefel's exchange, from the
+    reference `start` or from an even spread.  Returns (b, ref), ref the
+    sorted optimal reference, or None when the exchange fails.
+
+    Rows can share the level to rounding (coordinate descent makes them),
+    and then several references are optimal.  So b is that of a second
+    exchange on the rows within NEAR_LEVEL_RTOL of the level, from their
+    even spread: a function of the data alone, not of `start`.  It is
+    checked on every row: max |f - Q b| <= h (1 + MINIMAX_CERT_RTOL).
+    """
+    answer = _stiefel(Q, f, start)
+    if answer is None:
+        return None
+    r = np.abs(answer[3])
+    near = np.flatnonzero(r >= (1.0 - NEAR_LEVEL_RTOL) * r.max())
+    answer = _stiefel(Q[near], f[near])
+    if answer is None:
+        return None
+    ref, b, h, _ = answer
+    if np.max(np.abs(f - Q @ b)) > h * (1.0 + MINIMAX_CERT_RTOL):
+        return None
+    return b, tuple(sorted(near[ref].tolist()))
+
+
+def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     """min over c of max_i |f_i - (B c)_i| for an arbitrary basis matrix B
-    (no Chebyshev-system assumption), as a dense LP.
+    (no Chebyshev-system assumption).
 
     Numerically dependent columns are projected out via column-pivoted QR;
-    their coefficients come back as 0.  The error returned is the residual
-    max |f - Q b| of the LP's point b in its QR coordinates, not the LP's
-    level t, which can understate it.
+    their coefficients come back as 0.  In the QR coordinates Q b, Stiefel's
+    exchange (_minimax_exchange) answers from the reference `start`, or
+    from an even spread; when it fails, HiGHS dual simplex answers the dense
+    LP through _highs_lp.  Returns (coeffs, err, ref): err is the residual
+    max |f - Q b| of the point b returned, not a level, and ref the sorted
+    optimal reference of the exchange (a `start` for a similar problem), or
+    None when HiGHS answered.
     """
     N, m = B.shape
     col_scale = np.max(np.abs(B), axis=0)
     keep = np.flatnonzero(col_scale > 0)
     if keep.size == 0:
         # basis vanishes identically: best approximant is 0
-        return np.zeros(m), float(np.max(np.abs(f))) if f.size else 0.0
+        return np.zeros(m), float(np.max(np.abs(f))) if f.size else 0.0, None
     Bk = B[:, keep]
     Q, R = np.linalg.qr(Bk)
     d = np.abs(np.diag(R))
@@ -579,19 +693,24 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float
         Bk = B[:, keep]
         Q, R = np.linalg.qr(Bk)
     k = Q.shape[1]
-    # variables: (b, t); minimize t s.t. -t <= f - Q b <= t
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    A_ub = np.block([
-        [Q, -np.ones((N, 1))],
-        [-Q, -np.ones((N, 1))],
-    ])
-    b_ub = np.concatenate([f, -f])
-    # b is free and t >= 0; presolve removes nothing from this dense LP and
-    # only costs time
-    x, _ = _highs_lp(c, A_ub, b_ub, np.append(np.full(k, -np.inf), 0.0),
-                     np.full(k + 1, np.inf), presolve=False, what="minimax LP")
-    b = x[:k]
+    answer = _minimax_exchange(Q, f, start)
+    if answer is not None:
+        b, ref = answer
+    else:
+        # variables: (b, t); minimize t s.t. -t <= f - Q b <= t
+        c = np.zeros(k + 1)
+        c[-1] = 1.0
+        A_ub = np.block([
+            [Q, -np.ones((N, 1))],
+            [-Q, -np.ones((N, 1))],
+        ])
+        b_ub = np.concatenate([f, -f])
+        # b is free and t >= 0; presolve removes nothing from this dense LP
+        # and only costs time
+        x, _ = _highs_lp(c, A_ub, b_ub, np.append(np.full(k, -np.inf), 0.0),
+                         np.full(k + 1, np.inf), presolve=False,
+                         what="minimax LP")
+        b, ref = x[:k], None
     coeffs = np.zeros(m)
     coeffs[keep] = np.linalg.solve(R, b)
-    return coeffs, float(np.max(np.abs(f - Q @ b)))
+    return coeffs, float(np.max(np.abs(f - Q @ b))), ref

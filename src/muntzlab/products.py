@@ -99,7 +99,11 @@ def _cells(y: float, mesh: float) -> tuple[np.ndarray, float]:
 
 
 def superlevel_measure(p, y: float, theta: float, mesh: float) -> float:
-    """Grid-cell measure of {x in [y,1] : |p(x)| > theta * |p(y)|}."""
+    """Grid-cell measure of {x in [y,1] : |p(x)| > theta * |p(y)|}, tested
+    as |p(x)| > |p(y)| / (1 / theta): the comparison of estimate_alpha and
+    inequality_chain_report at alpha = 1 / theta.  At theta = 1 / alpha it
+    counts the cells they count whenever 1 / (1 / alpha) == alpha; else it
+    counts those they count at 1 / (1 / alpha), a neighbour of alpha."""
     if y >= 1.0:
         raise ConfigError("y must be < 1")
     if theta <= 0:
@@ -107,7 +111,7 @@ def superlevel_measure(p, y: float, theta: float, mesh: float) -> float:
     mids, w = _cells(y, mesh)
     pv = np.abs(np.asarray(p(mids), dtype=float))
     py = abs(float(p(y)))
-    return w * int(np.count_nonzero(pv > theta * py))
+    return w * int(np.count_nonzero(pv > py / (1.0 / theta)))
 
 
 def sample_factors(exponents, budget: int, rng, mesh: float) -> list[MuntzPolynomial]:
@@ -147,6 +151,22 @@ def draw_alpha_samples(
     grid = discretize(normalize([[1.0 - s, 1.0]]), mesh)
     samples.append(growth_sweep(exps, grid, [0.0])[0].extremal)
     return [p for p in samples if max(abs(c) for c in p.coefficients) > 0]
+
+
+def _cell_values(exps, y: float, mesh: float):
+    """(w, values) for the cells of _cells(y, mesh): their width, and
+    values(p) = (|p| at the cell midpoints, |p(y)|) for p in
+    span{x^e : e in exps}.  The basis at the midpoints and at y is built
+    once, and p is evaluated on it by the product that p(mids) and p(y)
+    take, so the values are the same bits."""
+    mids, w = _cells(y, mesh)
+    Vm, vy = basis_matrix(mids, exps), basis_matrix(np.array([y]), exps)
+
+    def values(p):
+        c = np.asarray(p.coefficients)
+        return np.abs(Vm @ c), abs(float((vy @ c)[0]))
+
+    return w, values
 
 
 def _needed_alpha(pv: np.ndarray, w: float, py: float, target: float) -> float:
@@ -196,11 +216,10 @@ def estimate_alpha(
     samples = draw_alpha_samples(seq_j, n, s, budget, seed, mesh, j=j)
     alpha = 1.0
     for y in alpha_y_grid(s):
-        mids, w = _cells(y, mesh)
+        w, values = _cell_values(truncate(seq_j, n), y, mesh)
         target = 1.0 - y - s / (2.0 * k)
         for p in samples:
-            pv = np.abs(np.asarray(p(mids)))
-            py = abs(float(p(y)))
+            pv, py = values(p)
             alpha = max(alpha, _needed_alpha(pv, w, py, target))
     return AlphaEstimate(j=j, n=n, s=s, k=k, alpha=alpha,
                          sample_count=len(samples))
@@ -300,6 +319,8 @@ def inequality_chain_report(
     ]
     n_products = min(len(f) for f in families)
     ys = [y for y in alpha_y_grid(s) if y <= rho + 1e-12]
+    cells = [[_cell_values(truncate(seq, n), y, mesh) for seq in spec.sequences]
+             for y in ys]
     sets = default_set_family(s, rho)
     set_grids = [discretize(A, mesh) for A in sets]
     checks = 0
@@ -309,13 +330,11 @@ def inequality_chain_report(
     for i in range(n_products):
         factors = tuple(families[j][i] for j in range(spec.k))
         P = ProductPolynomial(factors)
-        for y in ys:
-            mids, w = _cells(y, mesh)
-            inside = np.ones(len(mids), dtype=bool)
-            for j, (p, a) in enumerate(zip(factors, alphas)):
-                pv = np.abs(np.asarray(p(mids)))
-                py = abs(float(p(y)))
-                inside &= pv > py / a.alpha
+        for y, per_factor in zip(ys, cells):
+            inside = True
+            for p, a, (w, values) in zip(factors, alphas, per_factor):
+                pv, py = values(p)
+                inside = inside & (pv > py / a.alpha)
             inter = w * int(np.count_nonzero(inside))
             checks += 1
             if inter < 1.0 - y - s / 2.0 - 1e-12:
@@ -385,11 +404,13 @@ def product_approx_search(
     |f| there; no division by g ever happens.  best_error_by_round is the
     running best over all restarts, nonincreasing by construction.
 
-    Within a restart each LP answer (c_new, err) is kept under a digest of
-    its input B = g * V[j] (f is fixed).  An identical LP input gives an
-    identical output, so a repeated input, of this factor or of another one
-    with the same space, solves no LP and the trace and the factors are the
-    same bits.
+    Within a restart each LP answer (c_new, err, ref) is kept under a
+    digest of its input B = g * V[j] (f is fixed).  An identical LP input
+    gives an identical output, so a repeated input, of this factor or of
+    another one with the same space, solves no LP and the trace and the
+    factors are the same bits.  Each LP starts its exchange from the
+    reference ref of this factor's last answer, which saves exchange steps
+    and changes no bit of the answer.
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
@@ -406,6 +427,7 @@ def product_approx_search(
     best_by_round = [math.inf] * rounds
     best_err = math.inf
     best_coeffs = None
+    starts = [None] * spec.k  # each factor's last LP reference
     for restart in range(restarts):
         coeffs = []
         for j in range(spec.k):
@@ -431,8 +453,8 @@ def product_approx_search(
                                 coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
                                 F[i] = V[i] @ coeffs[i]
                         continue
-                    lps[key] = discrete_minimax_lp(B, f)
-                c_new, err = lps[key]
+                    lps[key] = discrete_minimax_lp(B, f, start=starts[j])
+                c_new, err, starts[j] = lps[key]
                 if err <= cur:
                     coeffs[j] = c_new
                     F[j] = V[j] @ c_new

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import muntzlab.minimax as minimax
+import muntzlab.products as products
 from muntzlab.errors import (
     ConditioningError,
     ConfigError,
@@ -275,7 +276,7 @@ def test_exchange_cycle_falls_back_to_certified_lp():
     f = np.abs(2 * x - 1)
     exps = truncate(squares(), 16)
     res = best_uniform_approx(f, g, exps)
-    _, want = discrete_minimax_lp(basis_matrix(x, exps), f)
+    _, want, _ = discrete_minimax_lp(basis_matrix(x, exps), f)
     assert res.error == pytest.approx(want, rel=1e-9)
     assert len(res.reference_points) == len(exps) + 1
     assert res.relative_gap <= 1e-6
@@ -297,7 +298,7 @@ def test_iteration_cap_falls_back_to_lp_and_checks_it(monkeypatch):
     assert capped.relative_gap <= 1e-6
     # an LP answer that carries no certificate is an error, not a result
     monkeypatch.setattr(minimax, "discrete_minimax_lp",
-                        lambda B, f: (np.zeros(B.shape[1]), 0.0))
+                        lambda B, f: (np.zeros(B.shape[1]), 0.0, None))
     with pytest.raises(ConvergenceError, match="no convergence within 1"):
         best_uniform_approx(f, g, exps)
 
@@ -727,7 +728,7 @@ def test_discrete_minimax_lp_matches_exchange():
     f = np.abs(2 * x - 1)
     exps = [0.0, 1.0, 4.0]
     B = basis_matrix(x, exps)
-    coeffs, err = discrete_minimax_lp(B, f)
+    coeffs, err, _ = discrete_minimax_lp(B, f)
     res = best_uniform_approx(f, g, exps)
     assert err == pytest.approx(res.error, rel=1e-6)
     assert np.max(np.abs(f - B @ coeffs)) == pytest.approx(err, rel=1e-6)
@@ -737,8 +738,8 @@ def test_discrete_minimax_lp_rank_deficient():
     x = np.linspace(0, 1, 50)
     V = basis_matrix(x, [0.0, 1.0])
     B = np.column_stack([V, V[:, 1]])  # duplicated column
-    coeffs, err = discrete_minimax_lp(B, x ** 2)
-    _, err_clean = discrete_minimax_lp(V, x ** 2)
+    coeffs, err, _ = discrete_minimax_lp(B, x ** 2)
+    _, err_clean, _ = discrete_minimax_lp(V, x ** 2)
     assert err == pytest.approx(err_clean, rel=1e-9)  # duplicate adds nothing
     assert err == pytest.approx(0.125, abs=1e-3)
     assert np.max(np.abs(x ** 2 - B @ coeffs)) == pytest.approx(err, rel=1e-6)
@@ -747,12 +748,161 @@ def test_discrete_minimax_lp_rank_deficient():
 def test_discrete_minimax_lp_zero_basis():
     B = np.zeros((10, 2))
     f = np.linspace(0, 1, 10)
-    coeffs, err = discrete_minimax_lp(B, f)
+    coeffs, err, ref = discrete_minimax_lp(B, f)
     assert np.all(coeffs == 0)
+    assert ref is None
     assert err == pytest.approx(1.0)
 
 
+# ---------------------------------------------- Stiefel's exchange on the LP
+
+
+@pytest.fixture(scope="module")
+def criterion_8_lps():
+    """(B, f, start) of every LP that the criterion-8 search solves, start
+    being the reference the search hands it."""
+    lps = []
+    real = products.discrete_minimax_lp
+
+    def recorded(B, f, start=None):
+        lps.append((B, f, start))
+        return real(B, f, start)
+
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 256)
+    x = g.as_array()
+    spec = products.ProductSpaceSpec(tuple(squares() for _ in range(4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "discrete_minimax_lp", recorded)
+        products.product_approx_search(np.abs(2 * x - 1), g, spec, n=6,
+                                       rounds=20, seed=0, restarts=5)
+    return lps
+
+
+def weighted_lp_input(seed):
+    """A minimax LP on a basis g x^lambda whose weight g changes sign
+    inside the grid: no Haar system."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, 60 + 40 * (seed % 5)))
+    exps = sorted(rng.choice(12, size=3 + seed % 5, replace=False))
+    roots = rng.uniform(0.1, 0.9, 1 + seed % 3)
+    g = np.prod(x[:, None] - roots, axis=1)
+    return g[:, None] * basis_matrix(x, exps), np.sin(3 * x) + x ** 0.5
+
+
+def highs_answer(B, f):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "_minimax_exchange", lambda Q, f, start=None: None)
+        return discrete_minimax_lp(B, f)
+
+
+def dual_bound(B, f, coeffs, ref):
+    """The dual weights mu and value h of the reference ref with the signs
+    of the residual there, from a fresh solve in the QR coordinates of B:
+    sum mu_i s_i q_i = 0, sum mu_i = 1, h = sum mu_i s_i f_i."""
+    ref = list(ref)
+    Q, _ = np.linalg.qr(B)
+    s = np.sign((f - B @ coeffs)[ref])
+    w = np.linalg.solve(np.column_stack([Q[ref], s]).T,
+                        np.eye(len(ref))[-1])
+    return s * w, float(w @ f[ref])
+
+
+def check_answer(B, f, start=None):
+    """discrete_minimax_lp's error is never above the HiGHS residual by more
+    than 1e-12 relative, and an exchange answer carries its certificate:
+    dual weights >= 0 from a fresh solve on its reference, and a dual value
+    h with (E - h) / E <= 1e-12.  Returns the reference."""
+    coeffs, err, ref = discrete_minimax_lp(B, f, start)
+    _, want, _ = highs_answer(B, f)
+    assert err <= want * (1.0 + 1e-12)
+    if ref is not None:
+        mu, h = dual_bound(B, f, coeffs, ref)
+        assert np.all(mu >= 0.0)
+        assert (err - h) / err <= 1e-12
+    return ref
+
+
+def test_minimax_exchange_answers_criterion_8(criterion_8_lps):
+    for B, f, start in criterion_8_lps:
+        assert check_answer(B, f, start) is not None  # HiGHS answers none
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_minimax_exchange_answers_a_sign_changing_weight(seed):
+    assert check_answer(*weighted_lp_input(seed)) is not None
+
+
+def test_minimax_exchange_hands_a_zero_weight_to_highs():
+    # g vanishes where f peaks, so that row alone bounds the error: the
+    # optimal dual weight is 0 on every other row, and many b are optimal
+    x = np.linspace(0.0, 1.0, 101)
+    B = (x - 0.5)[:, None] * basis_matrix(x, [0.0, 1.0, 2.0])
+    f = 1.0 - np.abs(2 * x - 1)
+    coeffs, err, ref = discrete_minimax_lp(B, f)
+    assert ref is None
+    assert err == pytest.approx(1.0, rel=1e-9)
+    assert np.max(np.abs(f - B @ coeffs)) == pytest.approx(err, rel=1e-9)
+
+
+def test_minimax_exchange_stops_when_h_falls(monkeypatch):
+    # squares n = 64 on a 1e-3 grid keep 35 columns, and there a re-signing
+    # lowers the dual value h: the exchange would cycle up to MAX_EXCHANGES
+    # steps.  It hands over to HiGHS at the first fall of h instead.
+    x = unit_grid(1e-3).as_array()
+    B, f = basis_matrix(x, truncate(squares(), 64)), np.abs(2 * x - 1)
+    steps = []
+    real = np.linalg.solve
+
+    def counted(A, b):
+        steps.append(A.shape)
+        return real(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    coeffs, err, ref = discrete_minimax_lp(B, f)
+    monkeypatch.undo()
+    assert ref is None
+    assert len(steps) < 20 < minimax.MAX_EXCHANGES
+    _, want, _ = highs_answer(B, f)
+    assert err == want
+
+
+def test_minimax_exchange_start_leaves_the_bits(criterion_8_lps):
+    # a cold start, the search's start, the answer's own reference and the
+    # previous LP's reference all give the same bits
+    last = None
+    for B, f, start in criterion_8_lps:
+        cold = discrete_minimax_lp(B, f)
+        for warm in (start, cold[2], last):
+            got = discrete_minimax_lp(B, f, warm)
+            assert got[0].tobytes() == cold[0].tobytes()
+            assert got[1:] == cold[1:]
+        last = cold[2]
+
+
+def test_failed_minimax_exchange_hands_over_to_highs(monkeypatch,
+                                                      criterion_8_lps):
+    cases = criterion_8_lps[::10] + [weighted_lp_input(s) + (None,)
+                                     for s in range(5)]
+    want = [discrete_minimax_lp(B, f, start)[1] for B, f, start in cases]
+    monkeypatch.setattr(minimax, "MAX_EXCHANGES", 1)  # the cap stops it
+    for (B, f, start), err in zip(cases, want):
+        coeffs, got, ref = discrete_minimax_lp(B, f)
+        assert ref is None
+        # HiGHS stops at its feasibility tolerance, up to 1e-6 relative
+        # above the optimum on these LPs, never below it
+        assert err * (1.0 - 1e-12) <= got <= err * (1.0 + 1e-6)
+        assert np.max(np.abs(f - B @ coeffs)) == pytest.approx(got, rel=1e-9)
+
+
 # ------------------------------------------------------------- the LP door
+
+
+@pytest.fixture
+def exchange_fails(monkeypatch):
+    """discrete_minimax_lp with its exchange reporting failure, so that
+    HiGHS answers through the door."""
+    monkeypatch.setattr(minimax, "_minimax_exchange",
+                        lambda Q, f, start=None: None)
 
 
 def minimax_lp_input(seed):
@@ -787,6 +937,7 @@ def solve_both(monkeypatch, seed):
     return calls
 
 
+@pytest.mark.usefixtures("exchange_fails")
 @pytest.mark.parametrize("seed", range(6))
 def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
     from scipy.optimize import linprog as scipy_linprog  # the oracle
@@ -803,6 +954,7 @@ def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
         assert np.array_equal(duals, want.ineqlin.marginals)
 
 
+@pytest.mark.usefixtures("exchange_fails")
 def test_lp_door_raises_no_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -827,6 +979,7 @@ BROKEN_LPS = {
 }
 
 
+@pytest.mark.usefixtures("exchange_fails")
 @pytest.mark.parametrize("status", BROKEN_LPS)
 @pytest.mark.parametrize("solver", ["minimax", "growth"])
 def test_lp_door_failures_raise_convergence_error(monkeypatch, status, solver):
@@ -852,6 +1005,7 @@ WRONG_SHAPES = {
 }
 
 
+@pytest.mark.usefixtures("exchange_fails")
 @pytest.mark.parametrize("edit", WRONG_SHAPES)
 @pytest.mark.parametrize("solver", ["minimax", "growth"])
 def test_lp_door_refuses_data_of_the_wrong_shape(monkeypatch, edit, solver):
@@ -868,6 +1022,7 @@ def test_lp_door_refuses_data_of_the_wrong_shape(monkeypatch, edit, solver):
             minimax._growth_lp(*growth_lp_input(0))
 
 
+@pytest.mark.usefixtures("exchange_fails")
 def test_lp_door_names_an_option_highs_refuses(monkeypatch):
     class Refusing(minimax._core._Highs):
         def setOptionValue(self, key, value):

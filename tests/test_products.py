@@ -66,6 +66,26 @@ def test_superlevel_monotone_in_theta():
         assert 0.0 <= m <= 0.8 + 1e-2
 
 
+def test_superlevel_measure_counts_the_chain_at_one_over_theta():
+    # the chain's comparison |p| > |p(y)| / alpha at alpha = 1 / theta; at
+    # theta = 1 / alpha that is alpha itself only when the reciprocal
+    # round-trips.  Here it does not, and one cell of p = 1 - x lies
+    # between the two thresholds
+    p = MuntzPolynomial((0.0, 1.0), (1.0, -1.0))
+    alpha = 1.8518518518518519
+    back = 1.0 / (1.0 / alpha)
+    assert back == 1.8518518518518516
+    mids, w = products._cells(0.25, 1e-2)
+    pv, py = np.abs(p(mids)), abs(float(p(0.25)))
+
+    def chain(a):
+        return w * int(np.count_nonzero(pv > py / a))
+
+    got = superlevel_measure(p, 0.25, 1.0 / alpha, 1e-2)
+    assert got == chain(back)
+    assert chain(alpha) == pytest.approx(got + w)
+
+
 def test_draw_alpha_samples_deterministic():
     seq = squares()
     a = draw_alpha_samples(seq, 3, 0.25, 5, seed=11, mesh=1e-2)
@@ -139,8 +159,14 @@ def test_criterion_6_alphas_are_the_smallest(j):
     # their alpha
     est = estimate_alpha(squares(), 6, 0.25, 2, 25, 42, 1e-3, j=j)
     assert est.alpha == 17090.79100928129
-    assert_smallest_alpha(est, draw_alpha_samples(squares(), 6, 0.25, 25, 42,
-                                                  1e-3, j=j), 1e-3)
+    samples = draw_alpha_samples(squares(), 6, 0.25, 25, 42, 1e-3, j=j)
+    assert_smallest_alpha(est, samples, 1e-3)
+    # superlevel_measure at theta = 1 / alpha counts the cells the chain
+    # counts, so every sample reaches its target there too
+    for y in products.alpha_y_grid(0.25):
+        for p in samples:
+            assert superlevel_measure(p, y, 1.0 / est.alpha, 1e-3) >= (
+                1.0 - y - 0.25 / 4 - 1e-12)
 
 
 def test_needed_alpha_is_exact_or_refused():
@@ -325,7 +351,7 @@ def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
                             F[i] = V[i] @ coeffs[i]
                     continue
                 B = g[:, None] * V[j]
-                c_new, err = discrete_minimax_lp(B, f)
+                c_new, err, _ = discrete_minimax_lp(B, f)
                 if err <= cur:
                     coeffs[j] = c_new
                     F[j] = V[j] @ c_new
@@ -355,9 +381,9 @@ def counting_lp(monkeypatch, module):
     calls = []
     real = module.discrete_minimax_lp
 
-    def lp(B, f):
+    def lp(B, f, start=None):
         calls.append(B.tobytes() + f.tobytes())
-        return real(B, f)
+        return real(B, f, start)
 
     monkeypatch.setattr(module, "discrete_minimax_lp", lp)
     return calls
@@ -375,7 +401,7 @@ def test_search_reuses_lps_on_criterion_8(monkeypatch):
     oracle = plain_coordinate_descent(f, x, spec, **args)
     assert_same_bits(rep, oracle)
     # the reported error is the residual of the factors that are returned
-    assert rep.best_error_by_round[-1] == 5.634587149095466e-2
+    assert rep.best_error_by_round[-1] == 5.6345871490953825e-2
     assert rep.best_error_by_round[-1] == pytest.approx(
         np.max(np.abs(f - eval_product(rep.best, x))), rel=1e-12)
     # no dead product here, so oracle LP i is restart i // 80; the search
@@ -390,7 +416,7 @@ def test_search_reuses_lps_on_criterion_8(monkeypatch):
             seen.add((i // 80, key))
             new.append(key)
     assert calls == new
-    assert len(calls) == 109
+    assert len(calls) == 138
 
 
 def test_search_k1_matches_plain_descent_with_one_lp_per_restart(monkeypatch):
