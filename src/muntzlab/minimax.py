@@ -6,16 +6,16 @@ Two solvers share one orthonormalization front end:
   equioscillation certificate (alternating reference points plus a
   de-la-Vallee-Poussin lower bound).
 * growth_functional   - the extremal growth
-  sup { |p(y)| : |p| <= 1 on the constraint grid }: exchange for the
-  set-Chebyshev element outside the constraint hull; inside it, 1 at a
-  grid point and one LP with a checked duality certificate elsewhere.
+  sup { |p(y)| : |p| <= 1 on the constraint grid }: 1 at a grid point
+  when 0 is an exponent; otherwise one exchange per sign pattern of the
+  extremal on the grid (_growth_lp), which finishes in 60 digits for
+  every query inside the constraint hull.
 
 The discrete minimax LP (min over b of max |f - Q b|, on which the
 exchange falls back and which the product search solves) is answered by
 Stiefel's exchange (_stiefel): the simplex method on its dual, whose
 bases are references of k + 1 grid points, valid without a Haar
-condition.  When that exchange fails, HiGHS dual simplex answers.  Both
-LPs that HiGHS solves (that one, and the growth LP) go through one door,
+condition.  When that exchange fails, HiGHS dual simplex answers through
 _highs_lp, a direct call into the HiGHS bindings that scipy ships; it
 returns the optimal point and the row duals, or raises ConvergenceError.
 
@@ -36,6 +36,7 @@ evaluated basis and maps coefficients back at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -56,7 +57,6 @@ from muntzlab.sets import Grid
 DEFAULT_TOL = 1e-8
 MAX_EXCHANGES = 200
 RANK_TOL = 1e-14
-GROWTH_CERT_RTOL = 1e-6  # 10x the default HiGHS feasibility tolerance
 SET_CHEBYSHEV_TOL = 1e-10  # slack on sup-norm 1 that ends the exchange
 SET_CHEBYSHEV_MP_TOL = 1e-12  # the same at MP_DIGITS digits
 
@@ -299,7 +299,7 @@ def best_uniform_approx(
     )
 
 
-def _highs_lp(c, A, b, lo, hi, presolve: bool, what: str):
+def _highs_lp(c, A, b, lo, hi, what: str):
     """min c . x subject to A x <= b and lo <= x <= hi (np.inf for no
     bound), by HiGHS dual simplex through the HiGHS bindings that scipy
     ships.  Returns (x, row_duals): the optimal point and the row duals
@@ -307,8 +307,9 @@ def _highs_lp(c, A, b, lo, hi, presolve: bool, what: str):
 
     HiGHS gets the model and the options that scipy's
     linprog(method="highs") would give it (column-wise matrix without exact
-    zeros; output off, dual simplex, presolve on or off), so both arrays
-    are the same bits as scipy's x and ineqlin.marginals.  Data of the
+    zeros; output off, dual simplex, presolve off), so both arrays are
+    the same bits as scipy's x and ineqlin.marginals.  Presolve removes
+    nothing from the dense minimax LP and only costs time.  Data of the
     wrong shape or not finite, an option HiGHS refuses, a failed passModel
     or run, and every model status but optimal raise ConvergenceError, whose
     message begins "`what` failed:".
@@ -329,7 +330,7 @@ def _highs_lp(c, A, b, lo, hi, presolve: bool, what: str):
 
     h = _core._Highs()
     for key, value in (("output_flag", False), ("simplex_strategy", 1),
-                       ("presolve", "on" if presolve else "off")):
+                       ("presolve", "off")):
         if h.setOptionValue(key, value) == _core.HighsStatus.kError:
             raise ConvergenceError(
                 f"{what} failed: HiGHS refused the option {key}={value!r}")
@@ -349,45 +350,19 @@ def _highs_lp(c, A, b, lo, hi, presolve: bool, what: str):
     return np.array(sol.col_value), np.array(sol.row_dual)
 
 
-def _growth_lp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """maximize q . b subject to -1 <= Q b <= 1; returns the optimal b.
-
-    Q has orthonormal columns, so every feasible b has
-    ||b||_2 = ||Q b||_2 <= sqrt(N): the box |b_i| <= sqrt(N) + 1 never binds
-    and only keeps HiGHS off free variables.  The answer is checked by LP
-    duality (Cheney 1966, ch. 2): |q . b| / max |Q b| is attained by a
-    feasible point, and the l1 norm of the constraint multipliers bounds
-    every feasible value from above.  ConvergenceError names both bounds
-    when they differ by more than GROWTH_CERT_RTOL relative.
-    """
-    N, m = Q.shape
-    box = math.sqrt(N) + 1.0
-    b, duals = _highs_lp(-q, np.vstack([Q, -Q]), np.ones(2 * N),
-                         np.full(m, -box), np.full(m, box), presolve=True,
-                         what="growth LP")
-    peak = float(np.max(np.abs(Q @ b)))
-    lower = abs(float(q @ b)) / peak if peak > 0.0 else 0.0
-    upper = float(np.sum(np.abs(duals)))
-    if abs(upper - lower) > GROWTH_CERT_RTOL * max(upper, lower):
-        raise ConvergenceError(
-            f"growth LP certificate failed: primal bound {lower:.9g}, "
-            f"dual bound {upper:.9g}")
-    return b
-
-
 def growth_functional(exponents, constraint: Grid, query: float) -> GrowthResult:
     """sup { |p(query)| : p in span, |p| <= 1 on the constraint grid }."""
     return growth_sweep(exponents, constraint, [query])[0]
 
 
-def _set_chebyshev(Q: np.ndarray):
-    """Extremal element for queries outside the constraint hull: the
-    generalized Chebyshev polynomial of the span on the grid, i.e. the
-    element alternating between +-1 at dimension many grid points with
-    sup-norm 1.  Found by Remez-style exchange in Q coordinates.
+def _set_chebyshev(Q: np.ndarray, t: np.ndarray):
+    """The element of sup-norm 1 on the grid whose values times the sign
+    pattern t (+-1 per grid row of Q) alternate between +-1 at dimension
+    many grid points; with t = 1, the generalized Chebyshev polynomial of
+    the span on the grid.  Found by Remez-style exchange in Q coordinates.
 
     Returns (b, ref, failure) of the exchange's last solve: coordinates b
-    with Q b = +-1 alternating on the reference ref, and failure None
+    with Q b = +-t alternating on the reference ref, and failure None
     exactly when max |Q b| <= 1 + SET_CHEBYSHEV_TOL certifies b, else the
     exchange's message (a cycle, the MAX_EXCHANGES cap or a stall).
     """
@@ -396,12 +371,12 @@ def _set_chebyshev(Q: np.ndarray):
 
     def solve(ref):
         try:
-            b = np.linalg.solve(Q[ref], sigma)
+            b = np.linalg.solve(Q[ref], sigma * t[ref])
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular reference system") from exc
         vals = Q @ b
         M = float(np.max(np.abs(vals)))
-        return vals, M, M <= 1.0 + SET_CHEBYSHEV_TOL, b
+        return vals * t, M, M <= 1.0 + SET_CHEBYSHEV_TOL, b
 
     ref, b, failure = _exchange(N, m, solve, "M")
     return b, ref, failure
@@ -421,6 +396,12 @@ def _decimal_powers(x: float, exps) -> list[Decimal]:
     d = Decimal(x)
     roots = {f: d ** Decimal(f) for f in {e - math.floor(e) for e in exps}}
     return [roots[e - math.floor(e)] * d ** math.floor(e) for e in exps]
+
+
+def _decimal_rows(x: np.ndarray, exps) -> list[list[Decimal]]:
+    """The basis rows of the grid x at MP_DIGITS digits."""
+    with localcontext(Context(prec=MP_DIGITS)):
+        return [_decimal_powers(float(xi), exps) for xi in x]
 
 
 def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
@@ -444,10 +425,10 @@ def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
     return a
 
 
-def _set_chebyshev_mp(x: np.ndarray, exps, queries,
-                      start: list[int] | None = None):
+def _set_chebyshev_mp(rows: list[list[Decimal]], exps, queries,
+                      t: np.ndarray, start: list[int] | None = None):
     """High-precision variant of _set_chebyshev working directly in the
-    monomial basis.
+    monomial basis, on the grid rows `rows` of _decimal_rows.
 
     Growth values of ~1e10 and beyond span more decades between grid and
     query than a double-precision basis can carry (any eps-level basis
@@ -462,17 +443,16 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries,
     """
     m = len(exps)
     with localcontext(Context(prec=MP_DIGITS)):
-        B = [_decimal_powers(float(xi), exps) for xi in x]
-        sigma = [Decimal((-1) ** i) for i in range(m)]
         bound = 1 + Decimal(SET_CHEBYSHEV_MP_TOL)
 
         def solve(ref):
-            a = _decimal_solve([B[i] for i in ref], sigma)
-            vals = [sum(map(mul, row, a)) for row in B]
+            sign = [Decimal((-1) ** k * int(t[i])) for k, i in enumerate(ref)]
+            a = _decimal_solve([rows[i] for i in ref], sign)
+            vals = [sum(map(mul, row, a)) for row in rows]
             M = max(map(abs, vals))
-            return np.array(vals, dtype=float), float(M), M <= bound, (a, M)
+            return np.array(vals, dtype=float) * t, float(M), M <= bound, (a, M)
 
-        _, (a, M), failure = _exchange(len(x), m, solve, "M", start=start)
+        _, (a, M), failure = _exchange(len(rows), m, solve, "M", start=start)
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
         values = [float(abs(sum(map(mul, _decimal_powers(float(y), exps), a))) / M)
@@ -481,78 +461,95 @@ def _set_chebyshev_mp(x: np.ndarray, exps, queries,
     return values, coeffs
 
 
+def _growth_lp(Q: np.ndarray, q, t: np.ndarray, exact: bool, finish):
+    """The growth LP, max q . b subject to -1 <= Q b <= 1, for each query
+    row q of one group, by exchange (Stiefel 1960: the simplex method on
+    this LP).  The Lagrange functions of a Chebyshev system change sign at
+    the other reference points only, so the extremal for y alternates on
+    the grid but for one repeated sign across y (Borwein & Erdelyi 1995):
+    the group shares the sign pattern t, 1 outside the constraint hull and
+    +1 below y, -1 above it inside.  After _set_chebyshev(Q, t),
+    finish(t, start), the 60-digit exchange from its reference, answers
+    when `exact` or when the double exchange fails or a value exceeds
+    MP_VALUE_THRESHOLD.  Returns (values, b, None), b in Q coordinates, or
+    (values, None, the monomial coefficients of the 60-digit answer).
+    """
+    b, ref, failure = _set_chebyshev(Q, t)
+    values = [abs(float(row @ b)) for row in q]
+    if exact or failure is not None or max(values) > MP_VALUE_THRESHOLD:
+        values, coeffs = finish(t, ref)
+        return values, None, coeffs
+    return values, b, None
+
+
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     """growth_functional over many query points.
 
-    Queries outside the constraint hull share one extremal, the generalized
-    Chebyshev element of the span on the grid.  For its exchange the query
-    points join the grid rows in one QR, so a query value is a plain row of
-    Q and never passes through an ill-conditioned triangular solve.
-
-    Inside the hull, a query at a grid point has value 1, attained by the
-    constant when 0 is an exponent, and solves no LP.  Every other query
-    inside the hull runs one _growth_lp on a QR of the grid rows alone
-    (made once per sweep), where the box is exact; its query row is
-    R^-T v(y).
+    A grid point has value 1, attained by the constant, when 0 is an
+    exponent.  Other queries are grouped by the sign pattern of their
+    extremal, and one _growth_lp answers each group: in double outside the
+    constraint hull (60 digits only on a failure or a value beyond
+    MP_VALUE_THRESHOLD), in 60 digits inside it, on decimal grid rows built
+    once per sweep.  The query points join the grid rows in one QR, so a
+    query value is a plain row of Q.  A grid point y without the constant
+    has the value min(1, G) and the extremal p_G / max(1, G), from the
+    group answer G, p_G on the grid without y; 1 if that grid has fewer
+    points than the dimension, as it cannot bound p(y) then.
     """
     exps = tuple(float(e) for e in exponents)
     x = constraint.as_array()
     ys = [float(y) for y in queries]
     if any(not 0.0 <= y <= 1.0 for y in ys):
         raise ConfigError("query must lie in [0, 1]")
-    if len(x) < len(exps):
+    N, m = len(x), len(exps)
+    if N < m:
         raise UnboundedGrowthError(
-            f"constraint grid of {len(x)} points cannot pin down dimension "
-            f"{len(exps)}"
-        )
+            f"constraint grid of {N} points cannot pin down dimension {m}")
     V = basis_matrix(np.concatenate([x, np.asarray(ys)]), exps)
     Qall, R = orthonormalize(V)
-    Q = Qall[: len(x)]
-    lo, hi = float(x.min()), float(x.max())
+    decimal_rows = functools.cache(lambda: _decimal_rows(x, exps))
 
     def extremal(coeffs, on_grid):
         p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
         return p, tuple(x[np.abs(on_grid) >= 1.0 - 1e-7].tolist())
 
-    # One shared extremal serves every query outside the constraint hull:
-    # the generalized Chebyshev element of the span on the grid.  `outside`
-    # maps each such query's index to its point, `values` to its value.
-    outside = {i: y for i, y in enumerate(ys) if y < lo or y > hi}
-    if outside:
-        b, ref, failure = _set_chebyshev(Q)
-        values = {i: abs(float(Qall[len(x) + i] @ b)) for i in outside}
-        if failure is not None or max(values.values()) > MP_VALUE_THRESHOLD:
-            # uncertified (a cycle or stall on ill-conditioned references)
-            # or beyond double-precision reach: redo in 60-digit arithmetic
-            # from where the exchange stopped
-            vals, coeffs = _set_chebyshev_mp(x, exps, list(outside.values()),
-                                             start=ref)
-            values = dict(zip(outside, vals))
-            shared = extremal(coeffs, V[: len(x)] @ np.asarray(coeffs))
-        else:
-            shared = extremal(np.linalg.solve(R, b), Q @ b)
-
+    # a group is keyed by (skip, split): the grid point left out (or None)
+    # and the number of remaining grid points below y, where t turns from
+    # +1 to -1 (all of them when none lies above, or none below)
     grid_points = set(x.tolist())
-    grid_qr = None  # (Q, R) of the grid rows alone, for the growth LPs
-    out = []
-    for i, y in enumerate(ys):
-        if i in outside:
-            p, active = shared
-            value = values[i]
-        elif 0.0 in exps and y in grid_points:
-            p = MuntzPolynomial(exps, tuple(float(e == 0.0) for e in exps))
-            active, value = tuple(x.tolist()), 1.0
+    answers, groups = [None] * len(ys), {}
+    for i, (y, k) in enumerate(zip(ys, np.searchsorted(x, ys).tolist())):
+        if y in grid_points and 0.0 in exps:
+            answers[i] = (1.0, extremal([float(e == 0.0) for e in exps],
+                                        np.ones(N)))
+            continue
+        skip = k if y in grid_points else None
+        groups.setdefault((skip, k or N - (skip is not None)), []).append(i)
+
+    for (skip, split), group in groups.items():
+        keep = np.arange(N) if skip is None else np.delete(np.arange(N), skip)
+        if len(keep) < m:
+            values, b = [1.0] * len(group), None
+            coeffs = np.linalg.solve(V[:N], np.eye(N)[skip])  # 1 at y only
         else:
-            if grid_qr is None:
-                grid_qr = orthonormalize(V[: len(x)])
-            Qg, Rg = grid_qr
-            q = np.linalg.solve(Rg.T, V[len(x) + i])
-            b = _growth_lp(Qg, q)
-            p, active = extremal(np.linalg.solve(Rg, b), Qg @ b)
-            value = abs(float(q @ b))
-        out.append(GrowthResult(value=value, extremal=p, query=float(y),
-                                constraint_active_points=active))
-    return out
+            def finish(t, start):
+                rows = decimal_rows()
+                return _set_chebyshev_mp([rows[j] for j in keep], exps,
+                                         [ys[i] for i in group], t, start)
+
+            Q = Qall[:N] if skip is None else Qall[keep]
+            t = np.where(np.arange(len(keep)) < split, 1.0, -1.0)
+            values, b, coeffs = _growth_lp(Q, Qall[N:][group], t,
+                                           (skip, split) != (None, N), finish)
+        if skip is not None:  # y itself bounds p(y) by 1
+            values, coeffs = ([min(1.0, v) for v in values],
+                              np.divide(coeffs, max(1.0, values[0])))
+        p = (extremal(np.linalg.solve(R, b), Qall[:N] @ b) if b is not None
+             else extremal(coeffs, V[:N] @ np.asarray(coeffs)))
+        for i, v in zip(group, values):
+            answers[i] = (v, p)
+    return [GrowthResult(v, p, y, active)
+            for y, (v, (p, active)) in zip(ys, answers)]
 
 
 MINIMAX_CERT_RTOL = 1e-12  # max |r| over the dual bound h that certifies
@@ -705,11 +702,9 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
             [-Q, -np.ones((N, 1))],
         ])
         b_ub = np.concatenate([f, -f])
-        # b is free and t >= 0; presolve removes nothing from this dense LP
-        # and only costs time
+        # b is free and t >= 0
         x, _ = _highs_lp(c, A_ub, b_ub, np.append(np.full(k, -np.inf), 0.0),
-                         np.full(k + 1, np.inf), presolve=False,
-                         what="minimax LP")
+                         np.full(k + 1, np.inf), what="minimax LP")
         b, ref = x[:k], None
     coeffs = np.zeros(m)
     coeffs[keep] = np.linalg.solve(R, b)

@@ -414,25 +414,25 @@ def test_growth_antitone_in_constraint_set():
 
 
 def test_growth_scale_invariant_under_column_rescaling():
-    # the growth value depends on the span, not on the basis scaling
-    from muntzlab.minimax import _growth_lp
-
-    x = discretize(normalize([[0.5, 1.0]]), 1e-2).as_array()
-    all_pts = np.concatenate([x, [0.3]])
-    V = basis_matrix(all_pts, [0.0, 1.0, 2.0])
-    D = np.diag([3.0, 1e-6, 40.0])
-    vals = []
-    for W in (V, V @ D):
-        Q, _ = orthonormalize(W)
-        b = _growth_lp(Q[:-1], Q[-1])
-        vals.append(abs(float(Q[-1] @ b)))
-    assert vals[0] == pytest.approx(vals[1], rel=1e-8)
+    # the growth value depends on the span, not on the basis scaling; the
+    # double exchange answers an outside and a gap query
+    for pieces, y in (([[0.5, 1.0]], 0.3), ([[0.5, 0.6], [0.9, 1.0]], 0.75)):
+        x = discretize(normalize(pieces), 1e-2).as_array()
+        V = basis_matrix(np.append(x, y), [0.0, 1.0, 2.0])
+        t = np.where(x < y, 1.0, -1.0) if y > x[0] else np.ones(len(x))
+        vals = []
+        for W in (V, V @ np.diag([3.0, 1e-6, 40.0])):
+            Q, _ = orthonormalize(W)
+            values, b, _ = minimax._growth_lp(Q[:-1], [Q[-1]], t, False, None)
+            assert b is not None  # no 60-digit finish
+            vals.append(values[0])
+        assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 
 
 def test_growth_gap_query_swept_equals_alone():
     # A gap query (0.75 lies between the two pieces) in a sweep with a far
-    # query: its LP runs on the QR of the grid rows alone, so the far query
-    # changes no bit of its answer.
+    # query: its 60-digit exchange certifies on the same reference either
+    # way, so the far query changes no bit of its answer.
     exps = truncate(arithmetic(0.5), 9)
     g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
     swept = growth_sweep(exps, g, [0.75, 0.0])[0]
@@ -443,14 +443,26 @@ def test_growth_gap_query_swept_equals_alone():
 
 def test_growth_gap_query_is_not_distorted_by_far_queries():
     # With far queries 0 and 0.25 in one QR with the grid, the grid rows
-    # are no longer orthonormal and the gap LP once returned 136.77.  The
-    # extremal, evaluated in 50 digits, shows the value is at least 295.65.
+    # are no longer orthonormal and a growth LP once returned 136.77 here
+    # (299.555 alone); 60 and 100 digits give 299.6131910585781.
     exps = truncate(arithmetic(0.5), 10)
     g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
     swept = growth_sweep(exps, g, [0.75, 0.0, 0.25])[0]
     alone = growth_functional(exps, g, 0.75)
     assert swept.value == alone.value
-    assert swept.value >= 295.0
+    assert swept.value == pytest.approx(299.6131910585781, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, y, value", [
+    (10, 0.75, 299.6131910585781),  # a growth LP gave 299.5553
+    (10, 0.62, 16.463017372300207),  # 16.4478
+    (8, 0.75, 82.37836136315188),  # 82.37887
+])
+def test_growth_gap_values_are_exact(n, y, value):
+    # [DERIVED] 60 and 100 digits give these values
+    g = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-3)
+    res = growth_functional(truncate(arithmetic(0.5), n), g, y)
+    assert res.value == pytest.approx(value, rel=1e-12)
 
 
 def test_growth_at_a_grid_point_solves_no_lp(monkeypatch):
@@ -472,24 +484,31 @@ def test_growth_at_a_grid_point_solves_no_lp(monkeypatch):
     assert calls == []
 
 
-def test_growth_lp_checks_its_dual_bound(monkeypatch):
-    # multipliers that disagree with the primal answer are an error
-    x = discretize(normalize([[0.5, 1.0]]), 1e-2).as_array()
-    exps = [0.0, 1.0, 2.0]
-    Q, R = orthonormalize(basis_matrix(x, exps))
-    q = np.linalg.solve(R.T, basis_matrix(np.array([0.3]), exps)[0])
-    b = minimax._growth_lp(Q, q)
-    assert abs(float(q @ b)) == pytest.approx(5.48, rel=1e-9)  # T_2(-1.8)
-    real = minimax._highs_lp
+@pytest.mark.parametrize("y, value", [
+    (0.5, 0.762448358339), (0.65, 0.995950274516), (1.0, 1.0)])
+def test_growth_at_a_grid_point_without_the_constant(y, value):
+    # [DERIVED] without exponent 0 the value at a grid point y is min(1, G),
+    # G the growth at y on the grid without y; the values are those of the
+    # growth LP this replaced
+    g = discretize(normalize([[0.5, 1.0]]), 0.05)
+    res = growth_functional([2.0, 5.0], g, y)
+    assert res.value == pytest.approx(value, rel=1e-9)
+    assert abs(res.extremal(y)) == pytest.approx(res.value, rel=1e-9)
+    assert np.max(np.abs(res.extremal(g.as_array()))) <= 1.0 + 1e-9
+    if value == 1.0:
+        assert res.value == 1.0  # G > 1: the extremal is p_G / G
 
-    def doubled_duals(*args, **kwargs):
-        x, duals = real(*args, **kwargs)
-        return x, 2.0 * duals
 
-    monkeypatch.setattr(minimax, "_highs_lp", doubled_duals)
-    with pytest.raises(ConvergenceError,
-                       match=r"primal bound 5\.48\d*, dual bound 10\.96"):
-        minimax._growth_lp(Q, q)
+def test_growth_at_a_grid_point_of_a_minimal_grid_is_one():
+    # [DERIVED] two grid points for two exponents: the other point cannot
+    # bound p(y), so the value is 1, attained by p(y) = 1, p = 0 elsewhere
+    g = Grid((0.5, 1.0), normalize([[0.5, 1.0]]), 0.5)
+    for y, other in ((0.5, 1.0), (1.0, 0.5)):
+        res = growth_functional([2.0, 5.0], g, y)
+        assert res.value == 1.0
+        assert res.extremal(y) == pytest.approx(1.0, rel=1e-12)
+        assert res.extremal(other) == pytest.approx(0.0, abs=1e-12)
+        assert res.constraint_active_points == (y,)
 
 
 def test_growth_underdetermined_raises():
@@ -588,6 +607,12 @@ def counting_decimal_solves(monkeypatch):
     return calls
 
 
+def set_chebyshev_mp(x, exps, queries, start=None):
+    """The 60-digit exchange for queries outside the hull of the grid x."""
+    return minimax._set_chebyshev_mp(minimax._decimal_rows(x, exps), exps,
+                                     queries, np.ones(len(x)), start)
+
+
 def test_set_chebyshev_mp_warm_start_gives_the_cold_bits():
     # the criterion-5 case: the double exchange of a single query (its own
     # Q) stops moving at M = 1.00001, uncertified, and gives a reference to
@@ -596,9 +621,9 @@ def test_set_chebyshev_mp_warm_start_gives_the_cold_bits():
     exps = [float(e) for e in range(13)]
     ys = np.linspace(0.0, 0.5, 33)
     Qall, _ = orthonormalize(basis_matrix(np.append(x, 0.0), exps))
-    _, ref, _ = minimax._set_chebyshev(Qall[: len(x)])
-    cold = minimax._set_chebyshev_mp(x, exps, ys)
-    warm = minimax._set_chebyshev_mp(x, exps, ys, start=ref)
+    _, ref, _ = minimax._set_chebyshev(Qall[: len(x)], np.ones(len(x)))
+    cold = set_chebyshev_mp(x, exps, ys)
+    warm = set_chebyshev_mp(x, exps, ys, start=ref)
     assert repr(warm) == repr(cold)
 
 
@@ -612,7 +637,7 @@ def test_growth_sweep_starts_the_60_digit_route_where_double_stopped(
     ys = np.linspace(0.0, 0.5, 33)
     out_ys = [float(y) for y in ys if y < x.min()]
     calls = counting_decimal_solves(monkeypatch)
-    cold_values, cold_coeffs = minimax._set_chebyshev_mp(x, exps, out_ys)
+    cold_values, cold_coeffs = set_chebyshev_mp(x, exps, out_ys)
     cold_solves = len(calls)
     calls.clear()
     sweep = growth_sweep(exps, g, ys)
@@ -623,7 +648,7 @@ def test_growth_sweep_starts_the_60_digit_route_where_double_stopped(
 
 EVERY_ROUTE_SET = [[0.5, 0.6], [0.9, 1.0]]
 # outside the hull (twice the same query, above MP_VALUE_THRESHOLD, so the
-# 60-digit route), in the gap between the two intervals (a growth LP), at a
+# 60-digit route), in the gap between the two intervals (a gap group), at a
 # grid point, and outside again
 EVERY_ROUTE_QUERIES = [0.0, 0.75, 0.5, 0.0, 0.3]
 
@@ -643,13 +668,36 @@ def test_growth_sweep_serves_every_route_in_query_order():
 
 
 def test_growth_sweep_evaluates_its_basis_once(monkeypatch):
+    # in double, and in 60 digits for both the outside and the gap group
     g = discretize(normalize(EVERY_ROUTE_SET), 1e-3)
-    calls = []
-    real = minimax.basis_matrix
-    monkeypatch.setattr(minimax, "basis_matrix",
-                        lambda *args: calls.append(1) or real(*args))
+    calls = {"basis_matrix": [], "_decimal_rows": []}
+    for name in calls:
+        real = getattr(minimax, name)
+        monkeypatch.setattr(minimax, name, lambda *args, name=name, real=real:
+                            calls[name].append(1) or real(*args))
+    mp = counting_decimal_solves(monkeypatch)
     growth_sweep(truncate(arithmetic(0.5), 10), g, EVERY_ROUTE_QUERIES)
-    assert len(calls) == 1
+    assert len(calls["basis_matrix"]) == len(calls["_decimal_rows"]) == 1
+    assert mp  # the 60-digit route ran
+
+
+def test_growth_sweep_solves_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("growth_sweep solved an LP")
+
+    monkeypatch.setattr(minimax, "_highs_lp", no_lp)
+    g = discretize(normalize(EVERY_ROUTE_SET), 1e-3)
+    sweep = growth_sweep(truncate(arithmetic(0.5), 10), g,
+                         EVERY_ROUTE_QUERIES)
+    assert sweep[1].value == pytest.approx(299.6131910585781, rel=1e-12)
+    # fat_cantor(2, (0.5, 1)) has three gaps, and a query in each
+    g = discretize(fat_cantor(2, (0.5, 1.0)), 1e-3)
+    ys = [0.0, 0.5, 0.6, 0.62, 0.75, 0.85, 0.9, 1.0]
+    assert [y for y in ys if not g.parent.contains(y)] == [0.0, 0.6, 0.75, 0.9]
+    for r in growth_sweep(truncate(arithmetic(1.0), 6), g, ys):
+        assert r.value >= 1.0
+        assert abs(r.extremal(r.query)) == pytest.approx(r.value, rel=1e-9)
+        assert np.max(np.abs(r.extremal(g.as_array()))) <= 1.0 + 1e-9
 
 
 def test_growth_sweep_hands_an_uncertified_exchange_to_60_digits():
@@ -684,7 +732,7 @@ def test_set_chebyshev_mp_names_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(minimax, "MAX_EXCHANGES", 1)
     with pytest.raises(ConvergenceError,
                        match=re.escape("(mp) no convergence within 1")):
-        minimax._set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0])
+        set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0])
 
 
 def test_set_chebyshev_mp_names_a_stall(monkeypatch):
@@ -694,7 +742,7 @@ def test_set_chebyshev_mp_names_a_stall(monkeypatch):
     monkeypatch.setattr(minimax, "_alternating_extrema", lambda r: [])
     with pytest.raises(ConvergenceError,
                        match="stopped with 0 of 13 alternating extrema"):
-        minimax._set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0])
+        set_chebyshev_mp(x, [float(e) for e in range(13)], [0.0])
 
 
 def test_growth_half_step_exponents_take_the_60_digit_route():
@@ -912,28 +960,18 @@ def minimax_lp_input(seed):
     return B, np.abs(2 * x - 1) + 0.1 * rng.standard_normal(x.size)
 
 
-def growth_lp_input(seed):
-    rng = np.random.default_rng(seed)
-    x = discretize(normalize([[0.5, 0.6], [0.9, 1.0]]), 1e-2 * (1 + seed % 3)).as_array()
-    exps = [0.0] + sorted(rng.uniform(0.5, 8.0, size=2 + seed % 4))
-    Q, R = orthonormalize(basis_matrix(x, exps))
-    y = rng.uniform(0.0, 1.0)
-    return Q, np.linalg.solve(R.T, basis_matrix(np.array([y]), exps)[0])
-
-
-def solve_both(monkeypatch, seed):
-    """Every door call of one seeded minimax LP and one growth LP."""
+def solve_minimax(monkeypatch, seed):
+    """Every door call of one seeded minimax LP."""
     calls = []
     real = minimax._highs_lp
 
-    def recorded(c, A, b, lo, hi, presolve, what):
-        args = (c, A, b, lo, hi, presolve, what)
+    def recorded(c, A, b, lo, hi, what):
+        args = (c, A, b, lo, hi, what)
         calls.append((args, real(*args)))
         return calls[-1][1]
 
     monkeypatch.setattr(minimax, "_highs_lp", recorded)
     discrete_minimax_lp(*minimax_lp_input(seed))
-    minimax._growth_lp(*growth_lp_input(seed))
     return calls
 
 
@@ -942,13 +980,12 @@ def solve_both(monkeypatch, seed):
 def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
     from scipy.optimize import linprog as scipy_linprog  # the oracle
 
-    calls = solve_both(monkeypatch, seed)
-    assert [args[5:] for args, _ in calls] == [(False, "minimax LP"),
-                                               (True, "growth LP")]
-    for (c, A, b, lo, hi, presolve, _), (x, duals) in calls:
+    calls = solve_minimax(monkeypatch, seed)
+    assert [args[5] for args, _ in calls] == ["minimax LP"]
+    for (c, A, b, lo, hi, _), (x, duals) in calls:
         want = scipy_linprog(c, A_ub=A, b_ub=b,
                              bounds=np.column_stack([lo, hi]), method="highs",
-                             options={"presolve": presolve})
+                             options={"presolve": False})
         assert want.status == 0
         assert np.array_equal(x, want.x)
         assert np.array_equal(duals, want.ineqlin.marginals)
@@ -958,7 +995,7 @@ def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
 def test_lp_door_raises_no_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert len(solve_both(monkeypatch, 0)) == 2
+        assert len(solve_minimax(monkeypatch, 0)) == 1
 
 
 def free(lo, hi):
@@ -979,21 +1016,22 @@ BROKEN_LPS = {
 }
 
 
+# the door's one caller, the minimax LP, which names itself in messages
+DOOR_CALLERS = ["minimax"]
+
+
 @pytest.mark.usefixtures("exchange_fails")
 @pytest.mark.parametrize("status", BROKEN_LPS)
-@pytest.mark.parametrize("solver", ["minimax", "growth"])
+@pytest.mark.parametrize("solver", DOOR_CALLERS)
 def test_lp_door_failures_raise_convergence_error(monkeypatch, status, solver):
     real = minimax._highs_lp
     monkeypatch.setattr(
         minimax, "_highs_lp",
-        lambda c, A, b, lo, hi, presolve, what:
-            real(*BROKEN_LPS[status](c, A, b, lo, hi), presolve, what))
+        lambda c, A, b, lo, hi, what:
+            real(*BROKEN_LPS[status](c, A, b, lo, hi), what))
     with pytest.raises(ConvergenceError,
                        match=f"^{solver} LP failed: HiGHS model status {status}$"):
-        if solver == "minimax":
-            discrete_minimax_lp(*minimax_lp_input(0))
-        else:
-            minimax._growth_lp(*growth_lp_input(0))
+        discrete_minimax_lp(*minimax_lp_input(0))
 
 
 # each gives the door LP data of the wrong shape; HiGHS reads the bounds
@@ -1007,19 +1045,16 @@ WRONG_SHAPES = {
 
 @pytest.mark.usefixtures("exchange_fails")
 @pytest.mark.parametrize("edit", WRONG_SHAPES)
-@pytest.mark.parametrize("solver", ["minimax", "growth"])
+@pytest.mark.parametrize("solver", DOOR_CALLERS)
 def test_lp_door_refuses_data_of_the_wrong_shape(monkeypatch, edit, solver):
     real = minimax._highs_lp
     monkeypatch.setattr(
         minimax, "_highs_lp",
-        lambda c, A, b, lo, hi, presolve, what:
-            real(*WRONG_SHAPES[edit](c, A, b, lo, hi), presolve, what))
+        lambda c, A, b, lo, hi, what:
+            real(*WRONG_SHAPES[edit](c, A, b, lo, hi), what))
     with pytest.raises(ConvergenceError,
                        match=f"^{solver} LP failed: LP data has the wrong shape$"):
-        if solver == "minimax":
-            discrete_minimax_lp(*minimax_lp_input(0))
-        else:
-            minimax._growth_lp(*growth_lp_input(0))
+        discrete_minimax_lp(*minimax_lp_input(0))
 
 
 @pytest.mark.usefixtures("exchange_fails")
@@ -1042,8 +1077,3 @@ def test_lp_door_refuses_data_that_is_not_finite():
     with pytest.raises(ConvergenceError,
                        match="^minimax LP failed: LP data not finite$"):
         discrete_minimax_lp(B, f)
-    Q, q = growth_lp_input(0)
-    q[1] = np.inf
-    with pytest.raises(ConvergenceError,
-                       match="^growth LP failed: LP data not finite$"):
-        minimax._growth_lp(Q, q)
