@@ -27,7 +27,13 @@ extrema (_trim_reference), the one exchange rule.  An exchange either
 certifies its answer or fails (a cycle, the cap or a stall), and a failure
 goes to the exact fallback: the LP, or 60 digits.  The LP's exchange keeps
 its own loop, as its references need not alternate: it drops the point
-that the ratio test on the dual weights picks.
+that the ratio test on the dual weights picks, and every step refills the
+same few arrays.
+
+The 60-digit route works on one basis per growth sweep, grid and query
+points together: _decimal_rows builds it as an object array of Decimal, a
+whole column at a time, and each exchange step evaluates the grid by one
+object-array product, so no step loops over points in Python.
 
 Raw monomial columns x^lambda are numerically collinear well before
 dimension 10, so every solve runs in coordinates of the QR-orthonormalized
@@ -386,22 +392,31 @@ MP_VALUE_THRESHOLD = 1e8  # growth values above this take the 60-digit route
 MP_DIGITS = 60
 
 
-def _decimal_powers(x: float, exps) -> list[Decimal]:
-    """x^e for every exponent e at the current decimal precision, with
-    0^0 = 1.  A non-integer Decimal power goes through exp and ln, so it is
-    taken once per distinct fractional part of the exponents and multiplied
-    by an integer power."""
-    if not x > 0:
-        return [Decimal(int(e == 0)) for e in exps]
-    d = Decimal(x)
-    roots = {f: d ** Decimal(f) for f in {e - math.floor(e) for e in exps}}
-    return [roots[e - math.floor(e)] * d ** math.floor(e) for e in exps]
+def _decimal_rows(x: np.ndarray, exps) -> np.ndarray:
+    """The basis x^e of the points x at MP_DIGITS digits: an N x m object
+    array of Decimal, with 0^0 = 1 and 0^e = 0.
 
-
-def _decimal_rows(x: np.ndarray, exps) -> list[list[Decimal]]:
-    """The basis rows of the grid x at MP_DIGITS digits."""
+    It is built a whole column at a time, the exponents taken in increasing
+    order: x^e_j = x^e_{j-1} * x^(e_j - e_{j-1}).  A gap of 1 costs one
+    multiply per point, an integer gap k one x ** k, and a non-integer gap
+    one power through exp and ln per point; a gap equal to the one before
+    reuses its powers.
+    """
+    ds = np.array([Decimal(v) for v in np.asarray(x, dtype=float).tolist()],
+                  dtype=object)
+    rows = np.empty((len(ds), len(exps)), dtype=object)
     with localcontext(Context(prec=MP_DIGITS)):
-        return [_decimal_powers(float(xi), exps) for xi in x]
+        col = np.full(len(ds), Decimal(1), dtype=object)
+        last, gap_before = Decimal(0), None
+        for j in sorted(range(len(exps)), key=lambda j: exps[j]):
+            gap = Decimal(exps[j]) - last
+            if gap:  # 0^0 = 1: a repeated exponent repeats its column
+                if gap != gap_before:
+                    k = int(gap) if gap == gap.to_integral_value() else gap
+                    step, gap_before = ds if k == 1 else np.power(ds, k), gap
+                col = col * step
+            rows[:, j], last = col, Decimal(exps[j])
+    return rows
 
 
 def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
@@ -425,38 +440,40 @@ def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
     return a
 
 
-def _set_chebyshev_mp(rows: list[list[Decimal]], exps, queries,
-                      t: np.ndarray, start: list[int] | None = None):
+def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
+                      start: list[int] | None = None):
     """High-precision variant of _set_chebyshev working directly in the
-    monomial basis, on the grid rows `rows` of _decimal_rows.
+    monomial basis: `rows` are the grid rows and `qrows` the query rows of
+    _decimal_rows.
 
     Growth values of ~1e10 and beyond span more decades between grid and
     query than a double-precision basis can carry (any eps-level basis
     perturbation wrecks the query value), so the alternation solve and the
     query evaluation run in MP_DIGITS-digit decimal arithmetic and only the
-    final scalars come back as floats.
+    final scalars come back as floats.  Each step evaluates the grid by one
+    object-array product rows.dot(a): per row, the products summed in
+    column order, as sum(map(mul, row, a)) would.
 
     The exchange starts from the reference `start` (the one the double
     exchange stopped on), or by default from an even spread.  Returns
     (values at queries, extremal coefficients); ConvergenceError when the
     exchange stops without a certificate.
     """
-    m = len(exps)
     with localcontext(Context(prec=MP_DIGITS)):
         bound = 1 + Decimal(SET_CHEBYSHEV_MP_TOL)
 
         def solve(ref):
             sign = [Decimal((-1) ** k * int(t[i])) for k, i in enumerate(ref)]
-            a = _decimal_solve([rows[i] for i in ref], sign)
-            vals = [sum(map(mul, row, a)) for row in rows]
-            M = max(map(abs, vals))
-            return np.array(vals, dtype=float) * t, float(M), M <= bound, (a, M)
+            a = np.array(_decimal_solve(rows[ref].tolist(), sign), dtype=object)
+            vals = rows.dot(a)
+            M = np.abs(vals).max()
+            return vals.astype(float) * t, float(M), M <= bound, (a, M)
 
-        _, (a, M), failure = _exchange(len(rows), m, solve, "M", start=start)
+        _, (a, M), failure = _exchange(len(rows), rows.shape[1], solve, "M",
+                                       start=start)
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
-        values = [float(abs(sum(map(mul, _decimal_powers(float(y), exps), a))) / M)
-                  for y in queries]
+        values = [float(abs(v) / M) for v in qrows.dot(a)]
         coeffs = [float(aj / M) for aj in a]
     return values, coeffs
 
@@ -505,9 +522,10 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     if N < m:
         raise UnboundedGrowthError(
             f"constraint grid of {N} points cannot pin down dimension {m}")
-    V = basis_matrix(np.concatenate([x, np.asarray(ys)]), exps)
+    points = np.concatenate([x, np.asarray(ys)])
+    V = basis_matrix(points, exps)
     Qall, R = orthonormalize(V)
-    decimal_rows = functools.cache(lambda: _decimal_rows(x, exps))
+    decimal_rows = functools.cache(lambda: _decimal_rows(points, exps))
 
     def extremal(coeffs, on_grid):
         p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
@@ -534,8 +552,8 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
         else:
             def finish(t, start):
                 rows = decimal_rows()
-                return _set_chebyshev_mp([rows[j] for j in keep], exps,
-                                         [ys[i] for i in group], t, start)
+                return _set_chebyshev_mp(rows[keep], rows[N + np.array(group)],
+                                         t, start)
 
             Q = Qall[:N] if skip is None else Qall[keep]
             t = np.where(np.arange(len(keep)) < split, 1.0, -1.0)
@@ -592,20 +610,28 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
     ref = [int(i) for i in start]
     if len(set(ref)) != k + 1 or not np.isfinite(f).all():
         return None
-    sigma = np.array([(-1.0) ** i for i in range(k + 1)])
     resigned, h_last = False, 0.0
-    rhs = np.eye(k + 1, k + 2, 1)  # (f_ref, I): (b, h) and the inverse
+    # what every step fills in place: [Q_ref | s] and (f_ref, I), whose
+    # solution holds (b, h) and the inverse; the entering row (q_p, s); r
+    # and |r|.  The signs s stay an array of their own, copied into A: an
+    # in-place np.negative on the strided column A[:, k] came out wrong
+    # (numpy 2.4.6, k = 7).
+    sigma = np.array([(-1.0) ** i for i in range(k + 1)])
+    A, rhs = np.empty((k + 1, k + 1)), np.eye(k + 1, k + 2, 1)
+    entering = np.empty(k + 1)
+    r, abs_r = np.empty(N), np.empty(N)
     for _ in range(MAX_EXCHANGES):
-        rhs[:, 0] = f[ref]
+        rows = np.array(ref)
+        A[:, :k], A[:, k], rhs[:, 0] = Q.take(rows, axis=0), sigma, f.take(rows)
         try:
-            X = np.linalg.solve(np.column_stack([Q[ref], sigma]), rhs)
+            X = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             return None
-        b, h, Ainv = X[:k, 0], X[k, 0], X[:, 1:]
+        b, h, Ainv = X[:k, 0], float(X[k, 0]), X[:, 1:]
         if h < 0.0:  # the opposite signs make the same mu, with -h
             sigma, h, Ainv[k] = -sigma, -h, -Ainv[k]
         mu = sigma * Ainv[k]
-        if np.any(mu < 0.0):
+        if (mu < 0.0).any():
             if resigned:
                 return None
             sigma, resigned = np.where(Ainv[k] < 0.0, -1.0, 1.0), True
@@ -613,20 +639,21 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
         if h < h_last:
             return None
         resigned, h_last = False, h
-        r = f - Q @ b
-        p = int(np.argmax(np.abs(r)))
-        if abs(r[p]) <= h * (1.0 + MINIMAX_CERT_RTOL):
+        np.subtract(f, np.matmul(Q, b, out=r), out=r)
+        p = int(np.abs(r, out=abs_r).argmax())
+        if abs_r[p] <= h * (1.0 + MINIMAX_CERT_RTOL):
             # with a weight of 0 the optimal b need not be unique, and which
             # one the exchange reaches would depend on where it started
             return (ref, b, h, r) if mu.min() > MINIMAX_WEIGHT_TOL else None
         if p in ref:
             return None
         s = 1.0 if r[p] > 0.0 else -1.0
-        d = sigma * (s * (Ainv.T @ np.append(Q[p], s)))
-        pos = np.flatnonzero(d > 0.0)
+        entering[:k], entering[k] = Q[p], s
+        d = sigma * (s * (Ainv.T @ entering))
+        pos = (d > 0.0).nonzero()[0]
         if pos.size == 0:
             return None
-        j = int(pos[np.argmin(mu[pos] / d[pos])])
+        j = int(pos[(mu[pos] / d[pos]).argmin()])
         ref[j], sigma[j] = p, s
     return None
 

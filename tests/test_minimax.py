@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from muntzlab.minimax import (
 )
 from muntzlab.exponents import arithmetic, squares, truncate
 from muntzlab.muntzeval import basis_matrix
+from muntzlab.remezlab import default_set_family
 from muntzlab.sets import Grid, discretize, fat_cantor, normalize
 from test_acceptance import _check_certificate as check_certificate
 from test_acceptance import large_corpus, small_corpus
@@ -609,8 +611,70 @@ def counting_decimal_solves(monkeypatch):
 
 def set_chebyshev_mp(x, exps, queries, start=None):
     """The 60-digit exchange for queries outside the hull of the grid x."""
-    return minimax._set_chebyshev_mp(minimax._decimal_rows(x, exps), exps,
-                                     queries, np.ones(len(x)), start)
+    rows = minimax._decimal_rows(np.append(x, queries), exps)
+    return minimax._set_chebyshev_mp(rows[: len(x)], rows[len(x):],
+                                     np.ones(len(x)), start)
+
+
+@pytest.mark.parametrize("exps", [
+    truncate(squares(), 12),
+    truncate(arithmetic(1.0), 12),
+    truncate(arithmetic(0.5), 12),
+    [0.0, 0.3, 1.7, 2.0],
+    [2.0, 5.0],  # no exponent 0: the first column is a power too
+])
+def test_decimal_rows_match_direct_powers(exps):
+    # the column products x^e_{j-1} * x^(e_j - e_{j-1}) against one direct
+    # power per entry; Decimal raises on 0 ** 0, so x = 0 is set apart
+    x = np.append(0.0, discretize(normalize([[0.75, 1.0]]), 1e-3).as_array())
+    assert x[-1] == 1.0
+    rows = minimax._decimal_rows(x, exps)
+    assert rows.shape == (len(x), len(exps))
+    with localcontext(Context(prec=minimax.MP_DIGITS)):
+        for xi, row in zip(x.tolist(), rows):
+            for e, got in zip(exps, row):
+                want = (Decimal(xi) ** Decimal(e) if xi > 0.0
+                        else Decimal(int(e == 0)))
+                assert isinstance(got, Decimal)
+                assert abs(got - want) <= Decimal("1e-55") * want
+
+
+# The criterion-5 sweeps that the 60-digit route answers (arithmetic(1),
+# n = 7...12, the default family at mesh 1e-3, 33 queries on [0, 0.5]), in
+# call order: the values at the first and the last query of each group.
+CRITERION_5_MP_VALUES = [
+    ("50862365.38873943", "114286.4332584789"),
+    ("708843189.582616", "666518.0119160744"),
+    ("46143997.327688634", "26.256674501385874"),
+    ("9876691075.936615", "3886258.05388744"),
+    ("456953783.1753089", "43.08287272759472"),
+    ("137439998614.61392", "22629473.848896764"),
+    ("4519247696.372389", "70.5695622221326"),
+    ("32803090.30728739", "19.495554961620055"),
+    ("1913744339061.5886", "131857032.39649716"),
+    ("44723173608.045715", "115.73340905468757"),
+    ("148648557.53182903", "25.205632139625617"),
+    ("26692490308128.21", "769620313.4123322"),
+    ("443338618817.6259", "190.1881981761216"),
+    ("1108028586.88285", "38.89548701270851"),
+]
+
+
+def test_60_digit_route_keeps_its_bits(monkeypatch):
+    calls = []
+    real = minimax._set_chebyshev_mp
+
+    def recorded(*args):
+        values, coeffs = real(*args)
+        calls.append((repr(values[0]), repr(values[-1])))
+        return values, coeffs
+
+    monkeypatch.setattr(minimax, "_set_chebyshev_mp", recorded)
+    for n in range(7, 13):
+        for A in default_set_family(0.25, 0.5):
+            growth_sweep(truncate(arithmetic(1.0), n), discretize(A, 1e-3),
+                         np.linspace(0.0, 0.5, 33))
+    assert calls == CRITERION_5_MP_VALUES
 
 
 def test_set_chebyshev_mp_warm_start_gives_the_cold_bits():
@@ -912,6 +976,27 @@ def test_minimax_exchange_stops_when_h_falls(monkeypatch):
     assert len(steps) < 20 < minimax.MAX_EXCHANGES
     _, want, _ = highs_answer(B, f)
     assert err == want
+
+
+def test_minimax_exchange_keeps_its_steps_on_criterion_8(monkeypatch):
+    # the search's LPs take 1810 LU solves in _stiefel and end on the floor
+    # 0.056345871490953825: a change to how a step is computed moves no step
+    steps = []
+    real = np.linalg.solve
+
+    def counted(A, b):
+        if sys._getframe(1).f_code is minimax._stiefel.__code__:
+            steps.append(A.shape)
+        return real(A, b)
+
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 256)
+    spec = products.ProductSpaceSpec(tuple(squares() for _ in range(4)))
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rep = products.product_approx_search(np.abs(2 * g.as_array() - 1), g, spec,
+                                         n=6, rounds=20, seed=0, restarts=5)
+    monkeypatch.undo()
+    assert len(steps) == 1810
+    assert repr(rep.best_error_by_round[-1]) == "0.056345871490953825"
 
 
 def test_minimax_exchange_start_leaves_the_bits(criterion_8_lps):
