@@ -15,9 +15,8 @@ The discrete minimax LP (min over b of max |f - Q b|, on which the
 exchange falls back and which the product search solves) is answered by
 Stiefel's exchange (_stiefel): the simplex method on its dual, whose
 bases are references of k + 1 grid points, valid without a Haar
-condition.  When that exchange fails, HiGHS dual simplex answers through
-_highs_lp, a direct call into the HiGHS bindings that scipy ships; it
-returns the optimal point and the row duals, or raises ConvergenceError.
+condition.  When that exchange fails, one call to scipy's linprog answers
+the LP by HiGHS dual simplex.
 
 Every exchange on alternating references (best approximation,
 set-Chebyshev in double and in 60-digit decimal arithmetic) runs in the one
@@ -49,7 +48,7 @@ from decimal import Context, Decimal, localcontext
 from operator import mul
 
 import numpy as np
-from scipy.optimize._highspy import _core
+from scipy.optimize import linprog
 
 from muntzlab.errors import (
     ConditioningError,
@@ -167,6 +166,12 @@ def _trim_reference(ext: list[int], r: np.ndarray, size: int) -> list[int]:
     return ext
 
 
+def _even_spread(N: int, size: int) -> list[int]:
+    """`size` grid indices spread evenly over 0 ... N - 1: the rounded
+    linspace, strictly increasing whenever 1 <= size <= N."""
+    return np.linspace(0, N - 1, size).round().astype(int).tolist()
+
+
 def _exchange(N: int, size: int, solve, what: str,
               start: list[int] | None = None):
     """The one reference-exchange loop on an N-point grid.  The exchange
@@ -187,13 +192,7 @@ def _exchange(N: int, size: int, solve, what: str,
     a stall (r has fewer than `size` alternating extrema, or the reference
     does not move).
     """
-    if start is not None:
-        ref = list(start)
-    else:
-        ref = sorted(set(np.linspace(0, N - 1, size).round().astype(int)))
-        if len(ref) < size:  # collisions only on near-minimal grids
-            pool = [i for i in range(N) if i not in ref]
-            ref = sorted(ref + pool[: size - len(ref)])
+    ref = list(start) if start is not None else _even_spread(N, size)
     seen: dict[tuple[int, ...], int] = {}
     levels: list[float] = []
     while True:
@@ -303,57 +302,6 @@ def best_uniform_approx(
         certified_lower_bound=lower,
         relative_gap=gap,
     )
-
-
-def _highs_lp(c, A, b, lo, hi, what: str):
-    """min c . x subject to A x <= b and lo <= x <= hi (np.inf for no
-    bound), by HiGHS dual simplex through the HiGHS bindings that scipy
-    ships.  Returns (x, row_duals): the optimal point and the row duals
-    d(objective)/d(b), as float arrays.
-
-    HiGHS gets the model and the options that scipy's
-    linprog(method="highs") would give it (column-wise matrix without exact
-    zeros; output off, dual simplex, presolve off), so both arrays are
-    the same bits as scipy's x and ineqlin.marginals.  Presolve removes
-    nothing from the dense minimax LP and only costs time.  Data of the
-    wrong shape or not finite, an option HiGHS refuses, a failed passModel
-    or run, and every model status but optimal raise ConvergenceError, whose
-    message begins "`what` failed:".
-    """
-    c, A, b, lo, hi = (np.asarray(v, dtype=float) for v in (c, A, b, lo, hi))
-    if A.ndim != 2 or not (c.shape == lo.shape == hi.shape == (A.shape[1],)
-                           and b.shape == (A.shape[0],)):
-        raise ConvergenceError(f"{what} failed: LP data has the wrong shape")
-    if not (np.isfinite(c).all() and np.isfinite(A).all()
-            and np.isfinite(b).all()):
-        raise ConvergenceError(f"{what} failed: LP data not finite")
-    nrow, ncol = A.shape
-    At = A.T  # row j of At is column j of A
-    nz = At != 0.0
-    index = np.nonzero(nz)[1].astype(np.int32)
-    start = np.zeros(ncol, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nz, axis=1)[:-1], out=start[1:])
-
-    h = _core._Highs()
-    for key, value in (("output_flag", False), ("simplex_strategy", 1),
-                       ("presolve", "off")):
-        if h.setOptionValue(key, value) == _core.HighsStatus.kError:
-            raise ConvergenceError(
-                f"{what} failed: HiGHS refused the option {key}={value!r}")
-    # 1, 1: column-wise matrix, minimize; integrality 0: every column is
-    # continuous (an empty integrality array makes passModel fail)
-    loaded = h.passModel(
-        ncol, nrow, index.size, 1, 1, 0.0, c, lo, hi, np.full(nrow, -np.inf),
-        b, start, index, At[nz], np.zeros(ncol, dtype=np.int32),
-    ) != _core.HighsStatus.kError
-    ran = loaded and h.run() != _core.HighsStatus.kError
-    status = h.getModelStatus() if loaded else _core.HighsModelStatus.kModelError
-    if not ran or status != _core.HighsModelStatus.kOptimal:
-        why = "" if ran else " (run failed)" if loaded else " (passModel failed)"
-        raise ConvergenceError(f"{what} failed: HiGHS model status "
-                               f"{h.modelStatusToString(status)}{why}")
-    sol = h.getSolution()
-    return np.array(sol.col_value), np.array(sol.row_dual)
 
 
 def growth_functional(exponents, constraint: Grid, query: float) -> GrowthResult:
@@ -606,7 +554,7 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
     """
     N, k = Q.shape
     if start is None or len(start) != k + 1 or max(start) >= N:
-        start = np.linspace(0, N - 1, k + 1).round().astype(int)
+        start = _even_spread(N, k + 1)
     ref = [int(i) for i in start]
     if len(set(ref)) != k + 1 or not np.isfinite(f).all():
         return None
@@ -690,11 +638,13 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     Numerically dependent columns are projected out via column-pivoted QR;
     their coefficients come back as 0.  In the QR coordinates Q b, Stiefel's
     exchange (_minimax_exchange) answers from the reference `start`, or
-    from an even spread; when it fails, HiGHS dual simplex answers the dense
-    LP through _highs_lp.  Returns (coeffs, err, ref): err is the residual
-    max |f - Q b| of the point b returned, not a level, and ref the sorted
-    optimal reference of the exchange (a `start` for a similar problem), or
-    None when HiGHS answered.
+    from an even spread; when it fails, scipy's linprog answers the dense
+    LP in (b, t) by HiGHS dual simplex, presolve off.  Returns (coeffs,
+    err, ref): err is the residual max |f - Q b| of the point b returned,
+    not a level, and ref the sorted optimal reference of the exchange (a
+    `start` for a similar problem), or None when HiGHS answered.  Data that
+    is not finite, or an LP that HiGHS does not solve to optimality, raises
+    ConvergenceError.
     """
     N, m = B.shape
     col_scale = np.max(np.abs(B), axis=0)
@@ -721,18 +671,21 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     if answer is not None:
         b, ref = answer
     else:
-        # variables: (b, t); minimize t s.t. -t <= f - Q b <= t
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        A_ub = np.block([
-            [Q, -np.ones((N, 1))],
-            [-Q, -np.ones((N, 1))],
-        ])
-        b_ub = np.concatenate([f, -f])
-        # b is free and t >= 0
-        x, _ = _highs_lp(c, A_ub, b_ub, np.append(np.full(k, -np.inf), 0.0),
-                         np.full(k + 1, np.inf), what="minimax LP")
-        b, ref = x[:k], None
+        # linprog raises ValueError on data that is not finite
+        if not (np.isfinite(Q).all() and np.isfinite(f).all()):
+            raise ConvergenceError("minimax LP failed: LP data not finite")
+        # variables (b, t), b free and t >= 0: minimize t s.t.
+        # -t <= f - Q b <= t.  Presolve removes nothing from this dense LP
+        # and only costs time.
+        ones = np.ones((N, 1))
+        res = linprog(np.append(np.zeros(k), 1.0),
+                      A_ub=np.block([[Q, -ones], [-Q, -ones]]),
+                      b_ub=np.concatenate([f, -f]),
+                      bounds=[(None, None)] * k + [(0.0, None)],
+                      method="highs", options={"presolve": False})
+        if res.status != 0:
+            raise ConvergenceError(f"minimax LP failed: {res.message}")
+        b, ref = res.x[:k], None
     coeffs = np.zeros(m)
     coeffs[keep] = np.linalg.solve(R, b)
     return coeffs, float(np.max(np.abs(f - Q @ b))), ref

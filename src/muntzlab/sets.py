@@ -156,7 +156,7 @@ def discretize(A: IntervalUnion, mesh: float) -> Grid:
             pts.append(a)
             continue
         nseg = max(1, math.ceil(n - 1e-12))
-        pts.extend(a + (b - a) * i / nseg for i in range(nseg))
+        pts.extend((a + (b - a) * np.arange(nseg) / nseg).tolist())
         pts.append(b)
     return Grid(tuple(pts), A, mesh)
 

@@ -176,6 +176,19 @@ def test_alternating_extrema_rejects_a_residual_that_is_not_finite(bad):
         minimax._alternating_extrema(np.array([1.0, -2.0, bad, 3.0]))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 300_001).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(1, N))))
+def test_even_spread_is_strictly_increasing(case):
+    # the default start of every exchange: `size` distinct grid indices
+    # from 0 to N - 1, for any 1 <= size <= N
+    N, size = case
+    ref = minimax._even_spread(N, size)
+    assert len(ref) == size and type(ref[0]) is int
+    assert ref[0] == 0 and ref[-1] == (N - 1 if size > 1 else 0)
+    assert np.all(np.diff(ref) > 0)
+
+
 # ------------------------------------------------------- best approximation
 
 
@@ -471,13 +484,13 @@ def test_growth_at_a_grid_point_solves_no_lp(monkeypatch):
     # [DERIVED] y = 0.5 starts the set and is a grid point, and 0 is an
     # exponent: the constant 1 is extremal and the value is exactly 1
     calls = []
-    real = minimax._highs_lp
+    real = minimax.linprog
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(minimax, "_highs_lp", counted)
+    monkeypatch.setattr(minimax, "linprog", counted)
     g = discretize(fat_cantor(3, (0.5, 1)), 1e-3)
     res = growth_functional(range(13), g, 0.5)
     assert res.value == 1.0
@@ -746,10 +759,10 @@ def test_growth_sweep_evaluates_its_basis_once(monkeypatch):
 
 
 def test_growth_sweep_solves_no_lp(monkeypatch):
-    def no_lp(*args):
+    def no_lp(*args, **kwargs):
         raise AssertionError("growth_sweep solved an LP")
 
-    monkeypatch.setattr(minimax, "_highs_lp", no_lp)
+    monkeypatch.setattr(minimax, "linprog", no_lp)
     g = discretize(normalize(EVERY_ROUTE_SET), 1e-3)
     sweep = growth_sweep(truncate(arithmetic(0.5), 10), g,
                          EVERY_ROUTE_QUERIES)
@@ -1027,13 +1040,13 @@ def test_failed_minimax_exchange_hands_over_to_highs(monkeypatch,
         assert np.max(np.abs(f - B @ coeffs)) == pytest.approx(got, rel=1e-9)
 
 
-# ------------------------------------------------------------- the LP door
+# ------------------------------- the LP door: linprog after a failed exchange
 
 
 @pytest.fixture
 def exchange_fails(monkeypatch):
     """discrete_minimax_lp with its exchange reporting failure, so that
-    HiGHS answers through the door."""
+    linprog answers."""
     monkeypatch.setattr(minimax, "_minimax_exchange",
                         lambda Q, f, start=None: None)
 
@@ -1046,62 +1059,61 @@ def minimax_lp_input(seed):
 
 
 def solve_minimax(monkeypatch, seed):
-    """Every door call of one seeded minimax LP."""
+    """The answer of one seeded minimax LP, and its number of linprog
+    calls."""
     calls = []
-    real = minimax._highs_lp
+    real = minimax.linprog
 
-    def recorded(c, A, b, lo, hi, what):
-        args = (c, A, b, lo, hi, what)
-        calls.append((args, real(*args)))
-        return calls[-1][1]
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(minimax, "_highs_lp", recorded)
-    discrete_minimax_lp(*minimax_lp_input(seed))
-    return calls
+    monkeypatch.setattr(minimax, "linprog", counted)
+    return discrete_minimax_lp(*minimax_lp_input(seed)), len(calls)
 
 
 @pytest.mark.usefixtures("exchange_fails")
 @pytest.mark.parametrize("seed", range(6))
 def test_lp_door_gives_scipy_linprog_bits(monkeypatch, seed):
+    # the fallback answers with the bits of HiGHS dual simplex, presolve
+    # off, on the LP in (b, t) built here, in the QR coordinates of B
     from scipy.optimize import linprog as scipy_linprog  # the oracle
 
-    calls = solve_minimax(monkeypatch, seed)
-    assert [args[5] for args, _ in calls] == ["minimax LP"]
-    for (c, A, b, lo, hi, _), (x, duals) in calls:
-        want = scipy_linprog(c, A_ub=A, b_ub=b,
-                             bounds=np.column_stack([lo, hi]), method="highs",
-                             options={"presolve": False})
-        assert want.status == 0
-        assert np.array_equal(x, want.x)
-        assert np.array_equal(duals, want.ineqlin.marginals)
+    (coeffs, err, ref), calls = solve_minimax(monkeypatch, seed)
+    B, f = minimax_lp_input(seed)
+    Q, R = np.linalg.qr(B)
+    N, k = Q.shape
+    ones = np.ones((N, 1))
+    want = scipy_linprog(
+        np.append(np.zeros(k), 1.0), A_ub=np.block([[Q, -ones], [-Q, -ones]]),
+        b_ub=np.concatenate([f, -f]),
+        bounds=np.column_stack([np.append(np.full(k, -np.inf), 0.0),
+                                np.full(k + 1, np.inf)]),
+        method="highs", options={"presolve": False})
+    assert want.status == 0
+    assert (calls, ref) == (1, None)
+    b = want.x[:k]
+    assert coeffs.tobytes() == np.linalg.solve(R, b).tobytes()
+    assert err == float(np.max(np.abs(f - Q @ b)))
 
 
 @pytest.mark.usefixtures("exchange_fails")
 def test_lp_door_raises_no_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert len(solve_minimax(monkeypatch, 0)) == 1
+        assert solve_minimax(monkeypatch, 0)[1] == 1
 
 
-def free(lo, hi):
-    return np.full_like(lo, -np.inf), np.full_like(hi, np.inf)
-
-
-# each turns the door's LP (c, A, b, lo, hi) into one that HiGHS cannot solve
+# each turns the fallback's LP (c, A_ub, b_ub, bounds) into one that HiGHS
+# cannot solve
 BROKEN_LPS = {
-    "Infeasible": lambda c, A, b, lo, hi: (c, 0 * A, -np.ones_like(b), lo, hi),
-    "Unbounded":
-        lambda c, A, b, lo, hi: (c, 0 * A, np.ones_like(b), *free(lo, hi)),
-    # HiGHS refuses matrix entries from 1e15 on, and a cost of 1e300 on
-    # free columns fails the solve
-    r"Model error \(passModel failed\)":
-        lambda c, A, b, lo, hi: (c, 1e16 * A, b, lo, hi),
-    r"[A-Za-z ]+ \(run failed\)":
-        lambda c, A, b, lo, hi: (1e300 * c, A, b, *free(lo, hi)),
+    "Infeasible": lambda c, A, b, bounds: (c, 0 * A, -np.ones_like(b), bounds),
+    "Unbounded": lambda c, A, b, bounds:
+        (c, 0 * A, np.ones_like(b), [(None, None)] * len(bounds)),
 }
 
 
-# the door's one caller, the minimax LP, which names itself in messages
+# the one LP that falls back to linprog, which names itself in messages
 DOOR_CALLERS = ["minimax"]
 
 
@@ -1109,50 +1121,16 @@ DOOR_CALLERS = ["minimax"]
 @pytest.mark.parametrize("status", BROKEN_LPS)
 @pytest.mark.parametrize("solver", DOOR_CALLERS)
 def test_lp_door_failures_raise_convergence_error(monkeypatch, status, solver):
-    real = minimax._highs_lp
-    monkeypatch.setattr(
-        minimax, "_highs_lp",
-        lambda c, A, b, lo, hi, what:
-            real(*BROKEN_LPS[status](c, A, b, lo, hi), what))
-    with pytest.raises(ConvergenceError,
-                       match=f"^{solver} LP failed: HiGHS model status {status}$"):
-        discrete_minimax_lp(*minimax_lp_input(0))
+    real = minimax.linprog
 
+    def broken(c, A_ub, b_ub, bounds, **kwargs):
+        c, A_ub, b_ub, bounds = BROKEN_LPS[status](c, A_ub, b_ub, bounds)
+        return real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, **kwargs)
 
-# each gives the door LP data of the wrong shape; HiGHS reads the bounds
-# and right-hand side from the buffers it gets without checking their length
-WRONG_SHAPES = {
-    "lo one entry short": lambda c, A, b, lo, hi: (c, A, b, lo[:-1], hi),
-    "b one entry short": lambda c, A, b, lo, hi: (c, A, b[:-1], lo, hi),
-    "scalar bounds": lambda c, A, b, lo, hi: (c, A, b, -np.inf, np.inf),
-}
-
-
-@pytest.mark.usefixtures("exchange_fails")
-@pytest.mark.parametrize("edit", WRONG_SHAPES)
-@pytest.mark.parametrize("solver", DOOR_CALLERS)
-def test_lp_door_refuses_data_of_the_wrong_shape(monkeypatch, edit, solver):
-    real = minimax._highs_lp
-    monkeypatch.setattr(
-        minimax, "_highs_lp",
-        lambda c, A, b, lo, hi, what:
-            real(*WRONG_SHAPES[edit](c, A, b, lo, hi), what))
-    with pytest.raises(ConvergenceError,
-                       match=f"^{solver} LP failed: LP data has the wrong shape$"):
-        discrete_minimax_lp(*minimax_lp_input(0))
-
-
-@pytest.mark.usefixtures("exchange_fails")
-def test_lp_door_names_an_option_highs_refuses(monkeypatch):
-    class Refusing(minimax._core._Highs):
-        def setOptionValue(self, key, value):
-            if key == "simplex_strategy":
-                return minimax._core.HighsStatus.kError
-            return super().setOptionValue(key, value)
-
-    monkeypatch.setattr(minimax._core, "_Highs", Refusing)
-    with pytest.raises(ConvergenceError, match="^minimax LP failed: HiGHS "
-                       "refused the option simplex_strategy=1$"):
+    monkeypatch.setattr(minimax, "linprog", broken)
+    with pytest.raises(ConvergenceError, match=(
+            f"^{solver} LP failed: The problem is {status.lower()}\\. "
+            f"\\(HiGHS Status \\d+: model_status is {status}; ")):
         discrete_minimax_lp(*minimax_lp_input(0))
 
 

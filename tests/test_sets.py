@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,40 @@ def test_discretize_points_lie_in_parent(raw, mesh):
     for p in g.points:
         assert A.contains(p)
     assert len(g) >= len(A.intervals)
+
+
+def loop_points(A, mesh):
+    """discretize's points one at a time by the formula
+    a + (b - a) * i / nseg: the reference for its array arithmetic."""
+    pts = []
+    for a, b in A.intervals:
+        if a == b:
+            pts.append(a)
+            continue
+        nseg = max(1, math.ceil((b - a) / mesh - 1e-12))
+        pts.extend(a + (b - a) * i / nseg for i in range(nseg))
+        pts.append(b)
+    return pts
+
+
+def assert_same_bits(A, mesh):
+    got = discretize(A, mesh).points
+    assert all(type(p) is float for p in got)
+    assert np.array(got).tobytes() == np.array(loop_points(A, mesh)).tobytes()
+
+
+@pytest.mark.parametrize("carrier", [(0.0, 1.0), (0.5, 1.0), (0.1, 0.7)])
+@pytest.mark.parametrize("mesh", [1e-3, 1.0 / 256, 0.013])
+def test_discretize_keeps_the_bits_of_the_loop_on_fat_cantor(carrier, mesh):
+    for level in range(8):
+        assert_same_bits(fat_cantor(level, carrier), mesh)
+
+
+@given(intervals_strategy(),
+       st.floats(min_value=1e-4, max_value=0.5, allow_nan=False))
+@settings(max_examples=60)
+def test_discretize_keeps_the_bits_of_the_loop(raw, mesh):
+    assert_same_bits(normalize(raw), mesh)
 
 
 def test_union_json_roundtrip():
