@@ -128,30 +128,24 @@ def run_classical(c, seed: int):
         for s in c.s_list:
             rep = remezlab.verify_classical_extremal(n, s, c.mesh)
             rows.append([n, s, c.mesh, rep.computed, rep.predicted, rep.relative_error])
-    return ["n", "s", "mesh", "computed", "predicted", "relative_error"], rows, c.mesh
+    return rows
 
 
 def run_remez_constant(c, seed: int):
     family = c.family or remezlab.default_set_family(c.s, c.rho)
-    rows = []
-    for n in range(c.n_max + 1):
-        est = remezlab.remez_constant_estimate(c.sequence, n, c.s, c.rho,
-                                               family, c.mesh)
-        rows.append([n, c.s, c.rho, est.attaining_set, est.attaining_query,
-                     c.mesh, est.c_value])
-    return ["n", "s", "rho", "set_id", "y", "mesh", "value"], rows, c.mesh
+    trend = remezlab.remez_trend(c.sequence, c.n_max, c.s, c.rho, family, c.mesh)
+    return [[e.n, e.s, e.rho, e.attaining_set, e.attaining_query, e.mesh,
+             e.c_value] for e in trend]
 
 
 def run_density(c, seed: int):
     res = remezlab.density_probe(c.target, c.sequence, c.set, c.n_list, c.mesh)
-    rows = [[c.target, n, c.mesh, e] for n, e in res.errors_by_n]
-    return ["target", "n", "mesh", "error"], rows, c.mesh
+    return [[c.target, n, c.mesh, e] for n, e in res.errors_by_n]
 
 
 def run_cantor(c, seed: int):
     A = fat_cantor(c.level, c.carrier)
-    row = [c.level, len(A.intervals), A.measure(), essential_supremum(A)]
-    return ["level", "intervals", "measure", "essential_supremum"], [row], None
+    return [[c.level, len(A.intervals), A.measure(), essential_supremum(A)]]
 
 
 def run_products_alpha(c, seed: int):
@@ -160,7 +154,7 @@ def run_products_alpha(c, seed: int):
         est = products.estimate_alpha(seq, c.n, c.s, c.k, c.budget, seed,
                                       c.mesh, j=j)
         rows.append([est.j, est.n, est.s, est.k, est.alpha, est.sample_count])
-    return ["j", "n", "s", "k", "alpha", "samples"], rows, c.mesh
+    return rows
 
 
 def run_products_verify(c, seed: int):
@@ -170,9 +164,8 @@ def run_products_verify(c, seed: int):
               for j, seq in enumerate(c.sequences)]
     rep = products.verify_product_remez(spec, c.n, c.s, c.rho, alphas,
                                         c.budget, seed, c.mesh)
-    rows = [[i, r, rep.c, int(r > rep.c * (1.0 + 1e-9))]
+    return [[i, r, rep.c, int(r > rep.c * (1.0 + 1e-9))]
             for i, r in enumerate(rep.ratios)]
-    return ["sample", "ratio", "c", "violation"], rows, c.mesh
 
 
 def run_products_search(c, seed: int):
@@ -181,8 +174,7 @@ def run_products_search(c, seed: int):
     f = remezlab.named_target(c.target)(grid.as_array())
     rep = products.product_approx_search(f, grid, spec, c.n, c.rounds, seed,
                                          restarts=c.restarts)
-    rows = [[t, e] for t, e in enumerate(rep.best_error_by_round)]
-    return ["round", "best_error"], rows, c.mesh
+    return [[t, e] for t, e in enumerate(rep.best_error_by_round)]
 
 
 def run_products_h4(c, seed: int):
@@ -191,7 +183,7 @@ def run_products_h4(c, seed: int):
     for n in c.n_list:
         w = products.monomial_in_H4(n, grid)
         rows.append([n, *w.decomposition, w.max_abs_deviation])
-    return ["n", "a", "b", "c", "d", "deviation"], rows, None
+    return rows
 
 
 RUNNERS = {"classical": run_classical, "remez-constant": run_remez_constant,
@@ -199,16 +191,18 @@ RUNNERS = {"classical": run_classical, "remez-constant": run_remez_constant,
            "products.alpha": run_products_alpha, "products.verify": run_products_verify,
            "products.search": run_products_search, "products.h4": run_products_h4}
 
-COLUMN_DOCS = {
-    "classical": "n,s,mesh,computed,predicted,relative_error: growth "
-                 "value (set-Chebyshev exchange) on [1-s,1] at query 0 vs "
-                 "the Chebyshev closed form",
+# each runner's CSV columns, and what a row holds; --help prints them
+COLUMNS = {
+    "classical": "n,s,mesh,computed,predicted,relative_error: growth value "
+                 "(set-Chebyshev exchange) on [1-s,1] at query 0 vs the "
+                 "Chebyshev closed form",
     "remez-constant": "n,s,rho,set_id,y,mesh,value: empirical Remez constant "
                       "per dimension with its attaining set index and query",
     "density": "target,n,mesh,error: best-approximation error per truncation",
-    "products": "task alpha: j,n,s,k,alpha,samples | task verify: "
-                "sample,ratio,c,violation | task search: round,best_error | "
-                "task h4: n,a,b,c,d,deviation",
+    "products.alpha": "j,n,s,k,alpha,samples",
+    "products.verify": "sample,ratio,c,violation",
+    "products.search": "round,best_error",
+    "products.h4": "n,a,b,c,d,deviation",
     "cantor": "level,intervals,measure,essential_supremum",
 }
 
@@ -232,8 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muntzlab", description="Muntz-space / Remez-inequality experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in COLUMN_DOCS.items():
-        p = sub.add_parser(name, description=f"CSV columns: {doc}",
+    docs: dict[str, list[str]] = {}
+    for name, doc in COLUMNS.items():
+        command, _, task = name.partition(".")
+        docs.setdefault(command, []).append(f"task {task}: {doc}" if task else doc)
+    for command, parts in docs.items():
+        doc = " | ".join(parts)
+        p = sub.add_parser(command, description=f"CSV columns: {doc}",
                            help=doc.split(":")[0])
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
             if name not in SCHEMAS:
                 raise ConfigError(f"unknown products task {cfg.get('task')!r}")
         typed = _parse(cfg, SCHEMAS[name])
-        header, rows, mesh = RUNNERS[name](typed, args.seed)
+        rows = RUNNERS[name](typed, args.seed)
     except ConfigError as exc:
         print(f"muntzlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -269,7 +268,8 @@ def main(argv=None) -> int:
         print(f"muntzlab: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
-        write_csv(args.out, header, rows, cfg, args.seed, mesh)
+        write_csv(args.out, COLUMNS[name].split(":")[0].split(","), rows, cfg,
+                  args.seed, getattr(typed, "mesh", None))
     except OSError as exc:
         print(f"muntzlab: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -104,12 +104,12 @@ def orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Columns are rescaled to unit sup-norm on the grid first (x^lambda for
     large lambda underflows to near zero away from 1, which would trip the
     rank check without being a genuine dependency); the scaling is folded
-    back into R, so V = Q R still holds.
+    back into R, so V = Q R still holds.  A grid of fewer points than the
+    dimension is a mesh too coarse for it: ConfigError.
     """
     if V.shape[0] < V.shape[1]:
-        raise ConditioningError(
-            f"grid of {V.shape[0]} points cannot support dimension {V.shape[1]}"
-        )
+        raise ConfigError(
+            f"grid of {V.shape[0]} points too small for dimension {V.shape[1]}")
     scale = np.max(np.abs(V), axis=0)
     if np.any(scale == 0.0):
         raise ConditioningError("basis column vanishes identically on the grid")
@@ -179,7 +179,7 @@ def _exchange(N: int, size: int, solve, what: str,
     solve(ref) -> (residual, level, done, state) solves on the reference
     `ref`, a sorted list of `size` grid indices; `level` is the scalar the
     exchange drives (`what` names it in messages), `state` what the solver
-    wants back from its last solve.
+    wants back from its last solve.  The residual is not read when done.
 
     Starts from the reference `start`, or by default from `size` evenly
     spread indices.  The next reference is _trim_reference of the
@@ -404,8 +404,9 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
 
     The exchange starts from the reference `start` (the one the double
     exchange stopped on), or by default from an even spread.  Returns
-    (values at queries, extremal coefficients); ConvergenceError when the
-    exchange stops without a certificate.
+    (values at queries, extremal coefficients, peaks), peaks the
+    extremal's |values| at the grid rows, in 60 digits from the certifying
+    step; ConvergenceError when the exchange stops without a certificate.
     """
     with localcontext(Context(prec=MP_DIGITS)):
         bound = 1 + Decimal(SET_CHEBYSHEV_MP_TOL)
@@ -415,15 +416,17 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
             a = np.array(_decimal_solve(rows[ref].tolist(), sign), dtype=object)
             vals = rows.dot(a)
             M = np.abs(vals).max()
-            return vals.astype(float) * t, float(M), M <= bound, (a, M)
+            r = None if M <= bound else vals.astype(float) * t  # None: done
+            return r, float(M), r is None, (a, vals, M)
 
-        _, (a, M), failure = _exchange(len(rows), rows.shape[1], solve, "M",
-                                       start=start)
+        _, (a, vals, M), failure = _exchange(len(rows), rows.shape[1], solve,
+                                             "M", start=start)
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
         values = [float(abs(v) / M) for v in qrows.dot(a)]
         coeffs = [float(aj / M) for aj in a]
-    return values, coeffs
+        peaks = np.abs(vals) / M
+    return values, coeffs, peaks
 
 
 def _growth_lp(Q: np.ndarray, q, t: np.ndarray, exact: bool, finish):
@@ -437,13 +440,13 @@ def _growth_lp(Q: np.ndarray, q, t: np.ndarray, exact: bool, finish):
     finish(t, start), the 60-digit exchange from its reference, answers
     when `exact` or when the double exchange fails or a value exceeds
     MP_VALUE_THRESHOLD.  Returns (values, b, None), b in Q coordinates, or
-    (values, None, the monomial coefficients of the 60-digit answer).
+    (values, None, (coefficients, peaks)) of the 60-digit answer.
     """
     b, ref, failure = _set_chebyshev(Q, t)
     values = [abs(float(row @ b)) for row in q]
     if exact or failure is not None or max(values) > MP_VALUE_THRESHOLD:
-        values, coeffs = finish(t, ref)
-        return values, None, coeffs
+        values, coeffs, peaks = finish(t, ref)
+        return values, None, (coeffs, peaks)
     return values, b, None
 
 
@@ -460,6 +463,10 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     has the value min(1, G) and the extremal p_G / max(1, G), from the
     group answer G, p_G on the grid without y; 1 if that grid has fewer
     points than the dimension, as it cannot bound p(y) then.
+
+    An extremal's active points, where |p| >= 1 - 1e-7 on the grid, are
+    read off the values that certified it (in 60 digits on the exact
+    route), not off its rounded coefficients, which cancel by more.
     """
     exps = tuple(float(e) for e in exponents)
     x = constraint.as_array()
@@ -475,9 +482,9 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     Qall, R = orthonormalize(V)
     decimal_rows = functools.cache(lambda: _decimal_rows(points, exps))
 
-    def extremal(coeffs, on_grid):
+    def extremal(coeffs, active):
         p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
-        return p, tuple(x[np.abs(on_grid) >= 1.0 - 1e-7].tolist())
+        return p, tuple(x[active].tolist())
 
     # a group is keyed by (skip, split): the grid point left out (or None)
     # and the number of remaining grid points below y, where t turns from
@@ -487,7 +494,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     for i, (y, k) in enumerate(zip(ys, np.searchsorted(x, ys).tolist())):
         if y in grid_points and 0.0 in exps:
             answers[i] = (1.0, extremal([float(e == 0.0) for e in exps],
-                                        np.ones(N)))
+                                        np.ones(N, dtype=bool)))
             continue
         skip = k if y in grid_points else None
         groups.setdefault((skip, k or N - (skip is not None)), []).append(i)
@@ -495,8 +502,9 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     for (skip, split), group in groups.items():
         keep = np.arange(N) if skip is None else np.delete(np.arange(N), skip)
         if len(keep) < m:
-            values, b = [1.0] * len(group), None
+            values = [1.0] * len(group)
             coeffs = np.linalg.solve(V[:N], np.eye(N)[skip])  # 1 at y only
+            peaks = np.zeros(len(keep))
         else:
             def finish(t, start):
                 rows = decimal_rows()
@@ -505,13 +513,17 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
 
             Q = Qall[:N] if skip is None else Qall[keep]
             t = np.where(np.arange(len(keep)) < split, 1.0, -1.0)
-            values, b, coeffs = _growth_lp(Q, Qall[N:][group], t,
-                                           (skip, split) != (None, N), finish)
+            values, b, exact = _growth_lp(Q, Qall[N:][group], t,
+                                          (skip, split) != (None, N), finish)
+            coeffs, peaks = ((np.linalg.solve(R, b), np.abs(Q @ b))
+                             if exact is None else exact)
+        scale = 1.0
         if skip is not None:  # y itself bounds p(y) by 1
-            values, coeffs = ([min(1.0, v) for v in values],
-                              np.divide(coeffs, max(1.0, values[0])))
-        p = (extremal(np.linalg.solve(R, b), Qall[:N] @ b) if b is not None
-             else extremal(coeffs, V[:N] @ np.asarray(coeffs)))
+            peaks, scale = np.insert(peaks, skip, values[0]), max(1.0, values[0])
+            values = [min(1.0, v) for v in values]
+        level = (1.0 - 1e-7) * scale  # |p| >= 1 - 1e-7 once divided by scale
+        p = extremal(np.divide(coeffs, scale),
+                     peaks >= (Decimal(level) if peaks.dtype == object else level))
         for i, v in zip(group, values):
             answers[i] = (v, p)
     return [GrowthResult(v, p, y, active)
@@ -635,7 +647,8 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     """min over c of max_i |f_i - (B c)_i| for an arbitrary basis matrix B
     (no Chebyshev-system assumption).
 
-    Numerically dependent columns are projected out via column-pivoted QR;
+    Numerically dependent columns are projected out via column-pivoted QR,
+    as are the columns past N of a basis wider than its N grid points;
     their coefficients come back as 0.  In the QR coordinates Q b, Stiefel's
     exchange (_minimax_exchange) answers from the reference `start`, or
     from an even spread; when it fails, scipy's linprog answers the dense
@@ -656,7 +669,8 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     Q, R = np.linalg.qr(Bk)
     d = np.abs(np.diag(R))
     rank_ok = d > RANK_TOL * d.max()
-    if not rank_ok.all():
+    if len(d) < keep.size or not rank_ok.all():
+        # a basis wider than its grid, or numerically dependent columns:
         # fall back to a well-conditioned column subset
         from scipy.linalg import qr as sqr
 

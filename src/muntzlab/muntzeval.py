@@ -44,17 +44,10 @@ def power_eval(x: float, lam: float) -> float:
 
 
 def basis_matrix(x, exponents) -> np.ndarray:
-    """Columns x^lambda_j evaluated at the points x (vectorized power_eval)."""
-    x = np.asarray(x, dtype=float)
-    exps = np.asarray(exponents, dtype=float)
-    with np.errstate(divide="ignore"):
-        V = np.power(x[:, None], exps[None, :])
-    # 0^0 -> 1 by convention; numpy already returns 1.0 there, but make
-    # 0^lam = 0 explicit for lam > 0 in case of 0*inf artifacts.
-    zero_rows = x == 0.0
-    if zero_rows.any():
-        V[zero_rows] = np.where(exps == 0.0, 1.0, 0.0)
-    return V
+    """Columns x^lambda_j evaluated at the points x (vectorized power_eval):
+    np.power gives 0^0 = 1 and 0^lam = 0 for lam > 0."""
+    return np.power(np.asarray(x, dtype=float)[:, None],
+                    np.asarray(exponents, dtype=float)[None, :])
 
 
 def evaluate(p: MuntzPolynomial, x):

@@ -83,11 +83,8 @@ class SearchReport:
 
 
 def eval_product(P: ProductPolynomial, x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.ones_like(arr)
-    for p in P.factors:
-        vals = vals * (basis_matrix(arr, p.exponents) @ np.asarray(p.coefficients))
-    return float(vals[0]) if np.asarray(x).ndim == 0 else vals
+    """The product of the factors' values at scalar or array x in [0, 1]."""
+    return math.prod(p(x) for p in P.factors)
 
 
 def _cells(y: float, mesh: float) -> tuple[np.ndarray, float]:

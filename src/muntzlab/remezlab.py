@@ -111,7 +111,9 @@ def remez_constant_estimate(
 ) -> RemezConstantEstimate:
     """Empirical Remez constant: max over the set family and over a query
     grid of [0, rho] of the growth functional.  A lower envelope of the
-    true constant (finite family, finite dimension, discretized norms)."""
+    true constant (finite family, finite dimension, discretized norms).
+    A family grid of fewer points than the dimension is a mesh too coarse
+    for it: ConfigError."""
     family = tuple(family)
     _check_family(family, s, rho)
     exps = truncate(seq, n)
@@ -119,6 +121,8 @@ def remez_constant_estimate(
     best = (-np.inf, 0.0, 0)
     for idx, A in enumerate(family):
         grid = discretize(A, mesh)
+        if len(grid) < len(exps):
+            raise ConfigError("mesh too coarse for this degree")
         for res in growth_sweep(exps, grid, ys):
             # ties: smallest query, then family order (strict > keeps the
             # earliest maximizer in sweep order)
@@ -138,20 +142,15 @@ def remez_trend(
     rho: float,
     family,
     mesh: float,
-) -> list[tuple[int, float]]:
-    """c_n for n = 0..n_max over a fixed family; nondecreasing in n."""
-    return [
-        (n, remez_constant_estimate(seq, n, s, rho, family, mesh).c_value)
-        for n in range(n_max + 1)
-    ]
+) -> list[RemezConstantEstimate]:
+    """The estimate for each n = 0..n_max; c_value is nondecreasing in n."""
+    return [remez_constant_estimate(seq, n, s, rho, family, mesh)
+            for n in range(n_max + 1)]
 
 
 def growth_ratios(trend) -> list[tuple[int, float]]:
     """(n, c_{n+1}/c_n) pairs from a remez_trend output."""
-    return [
-        (n0, c1 / c0)
-        for (n0, c0), (_, c1) in zip(trend, trend[1:])
-    ]
+    return [(e0.n, e1.c_value / e0.c_value) for e0, e1 in zip(trend, trend[1:])]
 
 
 TARGETS = {

@@ -100,10 +100,6 @@ def normalize(raw) -> IntervalUnion:
     return IntervalUnion(tuple((a, b) for a, b in merged))
 
 
-def measure(A: IntervalUnion) -> float:
-    return A.measure()
-
-
 def essential_supremum(A: IntervalUnion) -> float:
     """Largest right endpoint among non-degenerate intervals; singletons
     carry no measure and are ignored."""

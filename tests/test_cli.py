@@ -433,6 +433,54 @@ def test_probe_config_is_refused_in_one_line(name, field, value):
     assert_refused(name.split(".")[0], cfg)
 
 
+# a mesh of 0.5 gives 2 or 3 grid points, too few for the dimension 3 or 5
+COARSE = [
+    ("classical", {"n_list": [4], "s_list": [0.5], "mesh": 0.5}),
+    ("remez-constant", {"sequence": {"kind": "squares"}, "n_max": 3,
+                        "s": 0.25, "rho": 0.5, "mesh": 0.5}),
+    ("remez-constant", dict(VALID["remez-constant"], n_max=3, mesh=0.5,
+                            family=[{"intervals": [[0.5, 1.0]]}])),
+    ("density", dict(VALID["density"], n_list=[4], mesh=0.5)),
+    ("products", dict(VALID["products.alpha"], n=4, mesh=0.5)),
+    ("products", dict(VALID["products.verify"], n=4, mesh=0.5)),
+]
+
+
+@pytest.mark.parametrize("command, cfg", COARSE)
+def test_a_mesh_too_coarse_for_the_dimension_gives_exit_2(command, cfg):
+    assert_refused(command, cfg)
+
+
+def test_a_search_basis_wider_than_its_grid_is_answered(tmp_path):
+    # 3 grid points for 5 columns: the minimax LP keeps 3 columns, which
+    # interpolate the target
+    cfg = write_cfg(tmp_path, {"task": "search", "sequences": [{"kind": "squares"}],
+                               "n": 4, "target": "abs2x1", "rounds": 1,
+                               "mesh": 0.5})
+    out = tmp_path / "out.csv"
+    assert main(["products", "--config", cfg, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert [r.split(",")[0] for r in rows] == ["0"]
+    assert float(rows[0].split(",")[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_csv_header_is_the_columns_that_help_prints(name):
+    command, _, task = name.partition(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(VALID[name]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--config", str(path)]) == 0
+    header = out.getvalue().splitlines()[1]
+    helped = io.StringIO()
+    with contextlib.redirect_stdout(helped), pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    text = " ".join(helped.getvalue().split())
+    assert (f"task {task}: {header}" if task else f"CSV columns: {header}") in text
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

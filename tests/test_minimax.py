@@ -123,8 +123,8 @@ def test_orthonormalize_reconstructs():
 def test_orthonormalize_rejects_degenerate():
     with pytest.raises(ConditioningError):
         orthonormalize(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ConditioningError):
-        orthonormalize(np.ones((2, 3)))  # fewer rows than columns
+    with pytest.raises(ConfigError, match="too small for dimension 3"):
+        orthonormalize(np.ones((2, 3)))  # fewer rows than columns: a mesh
     with pytest.raises(ConditioningError):
         # duplicated column: genuinely rank-deficient
         orthonormalize(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
@@ -510,6 +510,9 @@ def test_growth_at_a_grid_point_without_the_constant(y, value):
     assert res.value == pytest.approx(value, rel=1e-9)
     assert abs(res.extremal(y)) == pytest.approx(res.value, rel=1e-9)
     assert np.max(np.abs(res.extremal(g.as_array()))) <= 1.0 + 1e-9
+    # the 60-digit values give the points that the double extremal attains
+    assert res.constraint_active_points == tuple(
+        p for p in g.points if abs(res.extremal(p)) >= 1.0 - 1e-7)
     if value == 1.0:
         assert res.value == 1.0  # G > 1: the extremal is p_G / G
 
@@ -547,6 +550,31 @@ def test_growth_sweep_matches_single_queries():
     for r in sweep:
         single = growth_functional([0.0, 1.0, 2.0], g, r.query)
         assert r.value == pytest.approx(single.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_active_points_of_a_60_digit_answer_hold_the_reference(n):
+    # arithmetic(1) on [0.75, 1] at query 0 takes the 60-digit route from
+    # n = 7 on; the extremal alternates on n + 1 grid points at least.  Its
+    # double coefficients cancel on the grid by more than the 1e-7 margin
+    # (5 points at n = 8, 219 of 251 at n = 12 when read off them).
+    g = discretize(normalize([[0.75, 1.0]]), 1e-3)
+    res = growth_functional(truncate(arithmetic(1.0), n), g, 0.0)
+    assert res.value > minimax.MP_VALUE_THRESHOLD
+    assert n + 1 <= len(res.constraint_active_points) < 2 * (n + 1)
+
+
+def test_active_points_agree_between_the_double_and_60_digit_routes(
+        monkeypatch):
+    g = discretize(normalize([[0.75, 1.0]]), 1e-3)
+    exps = truncate(arithmetic(1.0), 6)
+    double = growth_functional(exps, g, 0.0)
+    assert double.value < minimax.MP_VALUE_THRESHOLD
+    monkeypatch.setattr(minimax, "MP_VALUE_THRESHOLD", 0.0)
+    exact = growth_functional(exps, g, 0.0)
+    assert exact.value == pytest.approx(double.value, rel=1e-6)
+    assert exact.constraint_active_points == double.constraint_active_points
+    assert len(exact.constraint_active_points) >= 7
 
 
 def test_growth_large_values_match_chebyshev():
@@ -678,9 +706,9 @@ def test_60_digit_route_keeps_its_bits(monkeypatch):
     real = minimax._set_chebyshev_mp
 
     def recorded(*args):
-        values, coeffs = real(*args)
+        values, coeffs, peaks = real(*args)
         calls.append((repr(values[0]), repr(values[-1])))
-        return values, coeffs
+        return values, coeffs, peaks
 
     monkeypatch.setattr(minimax, "_set_chebyshev_mp", recorded)
     for n in range(7, 13):
@@ -714,7 +742,7 @@ def test_growth_sweep_starts_the_60_digit_route_where_double_stopped(
     ys = np.linspace(0.0, 0.5, 33)
     out_ys = [float(y) for y in ys if y < x.min()]
     calls = counting_decimal_solves(monkeypatch)
-    cold_values, cold_coeffs = set_chebyshev_mp(x, exps, out_ys)
+    cold_values, cold_coeffs, _ = set_chebyshev_mp(x, exps, out_ys)
     cold_solves = len(calls)
     calls.clear()
     sweep = growth_sweep(exps, g, ys)
@@ -868,6 +896,19 @@ def test_discrete_minimax_lp_rank_deficient():
     assert err == pytest.approx(err_clean, rel=1e-9)  # duplicate adds nothing
     assert err == pytest.approx(0.125, abs=1e-3)
     assert np.max(np.abs(x ** 2 - B @ coeffs)) == pytest.approx(err, rel=1e-6)
+
+
+def test_discrete_minimax_lp_on_a_basis_wider_than_its_grid():
+    # 5 columns on 3 points: the pivoted QR keeps 3 of them, which
+    # interpolate f, so the error is 0 up to rounding
+    x = np.array([0.0, 0.5, 1.0])
+    B = basis_matrix(x, [0.0, 1.0, 4.0, 9.0, 16.0])
+    f = np.abs(2.0 * x - 1.0)
+    coeffs, err, _ = discrete_minimax_lp(B, f)
+    assert coeffs.shape == (5,)
+    assert np.count_nonzero(coeffs) <= 3
+    assert err <= 1e-14
+    assert np.max(np.abs(f - B @ coeffs)) <= 1e-14
 
 
 def test_discrete_minimax_lp_zero_basis():

@@ -43,6 +43,20 @@ def test_basis_matrix_matches_power_eval():
             assert V[i, j] == pytest.approx(power_eval(float(xi), e))
 
 
+@pytest.mark.parametrize("exps", [
+    [float(i * i) for i in range(65)],  # squares to n = 64
+    [0.5 * i for i in range(31)],  # arithmetic(0.5) to n = 30
+    [0.0, 1e-300, 0.5],
+])
+def test_basis_matrix_is_np_power_with_0_to_the_0_one(exps):
+    x = np.array([0.0, 5e-324, 1e-300, 1e-10, 0.25, 0.5, 1.0])
+    V = basis_matrix(x, exps)
+    want = np.power(x[:, None], np.array(exps)[None, :])
+    assert V.tobytes() == want.tobytes()
+    assert V[0].tolist() == [float(e == 0.0) for e in exps]
+    assert np.isfinite(V).all()
+
+
 def test_polynomial_validation():
     with pytest.raises(ConfigError):
         MuntzPolynomial((0.0, 1.0), (1.0,))

@@ -36,6 +36,25 @@ def test_eval_product():
     assert P(0.5) == pytest.approx(0.125)
 
 
+def test_eval_product_is_the_product_of_the_factors():
+    # four squares factors of n = 6 on 257 points: the bits of the loop that
+    # multiplied basis_matrix columns into a vector of ones
+    rng = np.random.default_rng(0)
+    exps = tuple(float(i * i) for i in range(7))
+    P = ProductPolynomial(tuple(
+        MuntzPolynomial(exps, tuple(rng.standard_normal(7).tolist()))
+        for _ in range(4)))
+    def loop(x):
+        vals = np.ones_like(x)
+        for p in P.factors:
+            vals = vals * (basis_matrix(x, p.exponents) @ np.asarray(p.coefficients))
+        return vals
+
+    x = np.linspace(0.0, 1.0, 257)
+    assert eval_product(P, x).tobytes() == loop(x).tobytes()
+    assert P(0.5) == float(loop(np.array([0.5]))[0])
+
+
 def test_superlevel_measure_simple():
     # p = x on [0, 1]: {x in [y,1] : x > theta * y}
     p = MuntzPolynomial((1.0,), (1.0,))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -86,15 +88,28 @@ def test_remez_trend_nondecreasing_in_n():
     seq = squares()
     fam = default_set_family(0.25, 0.5)
     trend = remez_trend(seq, 4, 0.25, 0.5, fam, 1e-2)
-    assert [n for n, _ in trend] == [0, 1, 2, 3, 4]
-    values = [c for _, c in trend]
+    assert [e.n for e in trend] == [0, 1, 2, 3, 4]
+    for e in trend:
+        assert repr(e) == repr(remez_constant_estimate(seq, e.n, 0.25, 0.5,
+                                                       fam, 1e-2))
+    values = [e.c_value for e in trend]
     assert values[0] == pytest.approx(1.0, abs=1e-9)
     for c0, c1 in zip(values, values[1:]):
         assert c1 >= c0 - 1e-9
 
 
+def test_remez_constant_estimate_refuses_a_mesh_too_coarse():
+    # a family grid of 2 points cannot pin down dimension 3 (squares, n = 2)
+    fam = [normalize([[0.5, 1.0]])]
+    remez_constant_estimate(squares(), 1, 0.25, 0.5, fam, 0.5)
+    with pytest.raises(ConfigError, match="mesh too coarse for this degree"):
+        remez_constant_estimate(squares(), 2, 0.25, 0.5, fam, 0.5)
+
+
 def test_growth_ratios():
-    ratios = growth_ratios([(0, 1.0), (1, 3.0), (2, 12.0)])
+    trend = [SimpleNamespace(n=n, c_value=c)
+             for n, c in ((0, 1.0), (1, 3.0), (2, 12.0))]
+    ratios = growth_ratios(trend)
     assert ratios == [(0, 3.0), (1, 4.0)]
 
 

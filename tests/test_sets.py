@@ -11,7 +11,6 @@ from muntzlab.sets import (
     discretize,
     essential_supremum,
     fat_cantor,
-    measure,
     normalize,
     union_from_json,
     union_to_json,
@@ -215,7 +214,3 @@ def test_union_json_roundtrip():
             union_from_json({"fat_cantor": {"level": level}})
     with pytest.raises(ConfigError):
         union_from_json({"fat_cantor": {"level": 2, "carrier": [0, "b"]}})
-
-
-def test_measure_helper():
-    assert measure(normalize([[0.0, 0.25], [0.5, 1.0]])) == pytest.approx(0.75)
