@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, parts in docs.items():
         doc = " | ".join(parts)
         p = sub.add_parser(command, description=f"CSV columns: {doc}",
-                           help=doc.split(":")[0])
+                           help=" | ".join(d.split(":")[0] for d in parts))
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")

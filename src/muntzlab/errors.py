@@ -18,10 +18,9 @@ class ConditioningError(MuntzlabError):
 
 
 class UnboundedGrowthError(MuntzlabError):
-    """A growth quantity has no finite value: the constraint grid has fewer
-    points than the dimension of the span, or a sample vanishes on so many
-    cells of [y, 1] that no finite alpha brings its superlevel set up to the
-    measure that estimate_alpha asks for."""
+    """No finite alpha: a sample vanishes on so many cells of [y, 1] that no
+    finite alpha brings its superlevel set up to the measure that
+    estimate_alpha asks for."""
 
 
 class ConvergenceError(MuntzlabError):

@@ -50,12 +50,7 @@ from operator import mul
 import numpy as np
 from scipy.optimize import linprog
 
-from muntzlab.errors import (
-    ConditioningError,
-    ConfigError,
-    ConvergenceError,
-    UnboundedGrowthError,
-)
+from muntzlab.errors import ConditioningError, ConfigError, ConvergenceError
 from muntzlab.muntzeval import MuntzPolynomial, basis_matrix
 from muntzlab.sets import Grid
 
@@ -188,9 +183,9 @@ def _exchange(N: int, size: int, solve, what: str,
     is a function of the current reference alone, so a repeated reference
     means a cycle for good.  Returns (ref, state, failure) of the last
     solve.  failure is None exactly when that solve was done; otherwise it
-    names the stop and the last level: a cycle, the MAX_EXCHANGES cap, or
-    a stall (r has fewer than `size` alternating extrema, or the reference
-    does not move).
+    names the stop and the last level: a cycle (a reference that does not
+    move is a 1-cycle), the MAX_EXCHANGES cap, or a stall (r has fewer
+    than `size` alternating extrema).
     """
     ref = list(start) if start is not None else _even_spread(N, size)
     seen: dict[tuple[int, ...], int] = {}
@@ -206,8 +201,6 @@ def _exchange(N: int, size: int, solve, what: str,
             return ref, state, (f"exchange stopped with {len(ext)} of {size} "
                                 f"alternating extrema ({what} {level:.15g})")
         new_ref = _trim_reference(ext, r, size)
-        if new_ref == ref:
-            return ref, state, f"exchange stopped moving ({what} {level:.15g})"
         first = seen.get(tuple(new_ref))
         if first is not None:
             cyc = levels[first:]
@@ -462,7 +455,9 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     query value is a plain row of Q.  A grid point y without the constant
     has the value min(1, G) and the extremal p_G / max(1, G), from the
     group answer G, p_G on the grid without y; 1 if that grid has fewer
-    points than the dimension, as it cannot bound p(y) then.
+    points than the dimension, as it cannot bound p(y) then.  A constraint
+    grid of fewer points than the dimension is a mesh too coarse for it:
+    ConfigError.
 
     An extremal's active points, where |p| >= 1 - 1e-7 on the grid, are
     read off the values that certified it (in 60 digits on the exact
@@ -475,8 +470,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
         raise ConfigError("query must lie in [0, 1]")
     N, m = len(x), len(exps)
     if N < m:
-        raise UnboundedGrowthError(
-            f"constraint grid of {N} points cannot pin down dimension {m}")
+        raise ConfigError(f"grid of {N} points too small for dimension {m}")
     points = np.concatenate([x, np.asarray(ys)])
     V = basis_matrix(points, exps)
     Qall, R = orthonormalize(V)

@@ -63,29 +63,23 @@ def verify_classical_extremal(n: int, s: float, mesh: float) -> ClassicalReport:
     """Compare the growth functional on a grid of [1-s, 1] at query 0 (outside
     the grid's hull, so solved by set-Chebyshev exchange) against the
     closed-form Chebyshev value."""
-    exps = list(range(n + 1))
-    grid = discretize(normalize([[1.0 - s, 1.0]]), mesh)
-    if len(grid) < n + 2:
-        raise ConfigError("mesh too coarse for this degree")
-    computed = growth_sweep(exps, grid, [0.0])[0].value
     predicted = classical_remez_bound(n, s)
+    grid = discretize(normalize([[1.0 - s, 1.0]]), mesh)
+    computed = growth_sweep(range(n + 1), grid, [0.0])[0].value
     rel = abs(computed - predicted) / predicted
     return ClassicalReport(computed, predicted, rel)
 
 
 def default_set_family(s: float, rho: float) -> tuple[IntervalUnion, ...]:
     """Endpoint intervals of [rho, 1] plus a level-3 fat Cantor set mapped
-    into [rho, 1]; all of measure >= s."""
+    into [rho, 1]; ConfigError unless each lies in [rho, 1] with measure
+    >= s."""
     family = (
         normalize([[1.0 - s, 1.0]]),
         normalize([[rho, rho + s]]),
         fat_cantor(3, carrier=(rho, 1.0)),
     )
-    for A in family:
-        if A.measure() < s - 1e-12:
-            raise ConfigError(
-                f"default family member has measure {A.measure()} < s = {s}"
-            )
+    _check_family(family, s, rho)
     return family
 
 
@@ -111,19 +105,14 @@ def remez_constant_estimate(
 ) -> RemezConstantEstimate:
     """Empirical Remez constant: max over the set family and over a query
     grid of [0, rho] of the growth functional.  A lower envelope of the
-    true constant (finite family, finite dimension, discretized norms).
-    A family grid of fewer points than the dimension is a mesh too coarse
-    for it: ConfigError."""
+    true constant (finite family, finite dimension, discretized norms)."""
     family = tuple(family)
     _check_family(family, s, rho)
     exps = truncate(seq, n)
     ys = np.linspace(0.0, rho, QUERY_POINTS)
     best = (-np.inf, 0.0, 0)
     for idx, A in enumerate(family):
-        grid = discretize(A, mesh)
-        if len(grid) < len(exps):
-            raise ConfigError("mesh too coarse for this degree")
-        for res in growth_sweep(exps, grid, ys):
+        for res in growth_sweep(exps, discretize(A, mesh), ys):
             # ties: smallest query, then family order (strict > keeps the
             # earliest maximizer in sweep order)
             if res.value > best[0]:

@@ -52,11 +52,17 @@ class IntervalUnion:
 class Grid:
     """Finite point set discretizing an IntervalUnion; endpoints of every
     interval are included and consecutive points within an interval are
-    at most `mesh` apart."""
+    at most `mesh` apart.  The points are strictly increasing, as every
+    solver assumes: ConfigError otherwise."""
 
     points: tuple[float, ...]
     parent: IntervalUnion
     mesh: float
+
+    def __post_init__(self):
+        p = self.points
+        if not all(a < b for a, b in zip(p, p[1:])):  # NaN too
+            raise ConfigError("grid points must be strictly increasing")
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
@@ -163,7 +169,9 @@ def union_to_json(A: IntervalUnion) -> dict:
 
 def union_from_json(obj: dict) -> IntervalUnion:
     """Parse {"intervals": [[a,b],...]} or
-    {"fat_cantor": {"level": K, "carrier": [a,b]}}, a subset of [0, 1]."""
+    {"fat_cantor": {"level": K, "carrier": [a,b]}}, a subset of [0, 1].
+    A level whose 2^K intervals exceed MAX_GRID_POINTS is refused before
+    any interval is built, as discretize refuses every mesh for it."""
     if not isinstance(obj, dict):
         raise ConfigError("set descriptor must be an object")
     if set(obj) == {"intervals"}:
@@ -179,6 +187,9 @@ def union_from_json(obj: dict) -> IntervalUnion:
         level = spec["level"]
         if isinstance(level, bool) or not isinstance(level, int):
             raise ConfigError(f"fat_cantor level must be an integer, not {level!r}")
+        if level > math.log2(MAX_GRID_POINTS):
+            raise ConfigError(f"fat_cantor level {level} has 2^{level} "
+                              f"intervals, more than {MAX_GRID_POINTS}")
         carrier = spec.get("carrier", (0.0, 1.0))
         A = fat_cantor(level, carrier)
         top = _pair(carrier, "carrier")[1]

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -443,12 +444,56 @@ COARSE = [
     ("density", dict(VALID["density"], n_list=[4], mesh=0.5)),
     ("products", dict(VALID["products.alpha"], n=4, mesh=0.5)),
     ("products", dict(VALID["products.verify"], n=4, mesh=0.5)),
+    # the alpha's end interval [1 - s, 1] holds 4 points for dimension 5
+    ("products", {"task": "alpha", "sequences": [{"kind": "squares"}], "n": 4,
+                  "s": 0.003, "k": 1, "budget": 5, "mesh": 1e-3}),
+    ("products", {"task": "verify", "sequences": [{"kind": "squares"}], "n": 4,
+                  "s": 0.003, "rho": 0.5, "budget": 5, "mesh": 1e-3}),
 ]
 
 
 @pytest.mark.parametrize("command, cfg", COARSE)
 def test_a_mesh_too_coarse_for_the_dimension_gives_exit_2(command, cfg):
     assert_refused(command, cfg)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_classical_refuses_s_0_as_a_bad_s(n):
+    # [1, 1] is one grid point, which was refused as a coarse mesh before s
+    code, err = run_quiet("classical", {"n_list": [n], "s_list": [0.0],
+                                        "mesh": 1e-3})
+    assert code == 2 and err.count("\n") == 1
+    assert "s must lie in (0, 1]" in err
+
+
+def test_classical_takes_a_grid_of_dimension_many_points(tmp_path):
+    # [0.75, 1] at mesh 0.125 holds 3 points for n = 2; T_2(7) = 97
+    cfg = write_cfg(tmp_path, {"n_list": [2], "s_list": [0.25], "mesh": 0.125})
+    out = tmp_path / "out.csv"
+    assert main(["classical", "--config", cfg, "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[2].split(",")
+    assert float(row[3]) == pytest.approx(97.0, rel=1e-12)
+    assert float(row[4]) == 97.0
+
+
+def test_a_family_of_sets_beyond_the_grid_cap_is_refused_at_once():
+    # 256 level-20 fat Cantor sets would need about 33 GiB; each is refused
+    # before it is built
+    cfg = dict(VALID["remez-constant"],
+               family=[{"fat_cantor": {"level": 20}}] * cli.MAX_LIST)
+    t0 = time.perf_counter()
+    assert_refused("remez-constant", cfg)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_top_level_help_names_every_products_task():
+    helped = io.StringIO()
+    with contextlib.redirect_stdout(helped), pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["--help"])
+    line = next(ln for ln in helped.getvalue().splitlines()
+                if ln.split()[:1] == ["products"])
+    for task in ("alpha", "verify", "search", "h4"):
+        assert f"task {task}" in line
 
 
 def test_a_search_basis_wider_than_its_grid_is_answered(tmp_path):

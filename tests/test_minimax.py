@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 import muntzlab.minimax as minimax
 import muntzlab.products as products
-from muntzlab.errors import (
-    ConditioningError,
-    ConfigError,
-    ConvergenceError,
-    UnboundedGrowthError,
-)
+from muntzlab.errors import ConditioningError, ConfigError, ConvergenceError
 from muntzlab.minimax import (
     best_uniform_approx,
     chebyshev_T,
@@ -530,10 +525,31 @@ def test_growth_at_a_grid_point_of_a_minimal_grid_is_one():
 
 
 def test_growth_underdetermined_raises():
+    # a grid of fewer points than the dimension is a mesh too coarse for it,
+    # in the words of orthonormalize and best_uniform_approx
     A = normalize([[0.5, 1.0]])
     tiny = Grid((0.5, 1.0), A, 0.5)
-    with pytest.raises(UnboundedGrowthError):
+    with pytest.raises(ConfigError,
+                       match=r"^grid of 2 points too small for dimension 3$"):
         growth_functional([0.0, 1.0, 2.0], tiny, 0.0)
+
+
+def test_solvers_never_see_an_unsorted_grid():
+    # [DERIVED] each solver assumes sorted points: on these unsorted grids
+    # best_uniform_approx returned error 0.8 with a certificate, and
+    # growth_sweep 8.0; the sorted grids give 0.4 and 53/3
+    A = normalize([[0.0, 1.0]])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        Grid((0.9, 0.1, 0.5, 0.7, 0.3), A, 0.2)
+    g = Grid((0.1, 0.3, 0.5, 0.7, 0.9), A, 0.2)
+    res = best_uniform_approx(np.abs(2.0 * g.as_array() - 1.0), g, [0.0, 1.0])
+    assert res.error == pytest.approx(0.4, rel=1e-12)
+    A = normalize([[0.5, 1.0]])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        Grid((1.0, 0.5, 0.7, 0.9), A, 0.2)
+    g = Grid((0.5, 0.7, 0.9, 1.0), A, 0.2)
+    value = growth_sweep([0.0, 1.0, 2.0], g, [0.0])[0].value
+    assert value == pytest.approx(53.0 / 3.0, rel=1e-12)
 
 
 def test_growth_query_validation():
@@ -589,8 +605,8 @@ def test_growth_large_values_match_chebyshev():
 
 def test_growth_sweep_survives_cycling_double_exchange():
     # [DERIVED] T_12(7): the double-precision set-Chebyshev exchange stops
-    # moving at M = 1.00003 on this 33-query sweep, short of a certificate,
-    # so the value must come from the 60-digit route
+    # moving (a 1-cycle) at M = 1.00003 on this 33-query sweep, short of a
+    # certificate, so the value must come from the 60-digit route
     g = discretize(normalize([[0.75, 1.0]]), 1e-3)
     sweep = growth_sweep(range(13), g, np.linspace(0.0, 0.5, 33))
     assert sweep[0].query == 0.0
@@ -623,10 +639,11 @@ def test_exchange_names_each_stop_at_once(monkeypatch):
     assert solved == [(0, 1), (2, 3), (4, 5)] and ref == [4, 5]
     assert failure == ("exchange fell into a 2-cycle of references at step 1 "
                        "(M between 2 and 3)")
-    # a reference that does not move stops at its first repeat
-    solved, _, failure = run(lambda ref: ref)
-    assert solved == [(0, 1)]
-    assert failure == "exchange stopped moving (M 1)"
+    # a reference that does not move is a 1-cycle, named at once
+    solved, ref, failure = run(lambda ref: ref)
+    assert solved == [(0, 1)] and ref == [0, 1]
+    assert failure == ("exchange fell into a 1-cycle of references at step 0 "
+                       "(M between 1 and 1)")
     # a residual with too few alternating extrema stops at once
     solved, _, failure = run(lambda ref: (3,))
     assert solved == [(0, 1)]

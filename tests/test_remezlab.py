@@ -42,7 +42,8 @@ def test_verify_classical_extremal_small_cases():
 
 
 def test_verify_classical_mesh_too_coarse():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match="grid of 2 points too small for dimension 6"):
         verify_classical_extremal(5, 0.5, mesh=0.5)
 
 
@@ -55,7 +56,7 @@ def test_default_set_family():
     for A in fam:
         assert A.measure() >= 0.25 - 1e-12
         assert A.lo() >= 0.5 and A.hi() <= 1.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"must lie in \[rho, 1\]"):
         default_set_family(0.6, 0.5)  # [rho, rho+s] would spill past 1
 
 
@@ -99,10 +100,12 @@ def test_remez_trend_nondecreasing_in_n():
 
 
 def test_remez_constant_estimate_refuses_a_mesh_too_coarse():
-    # a family grid of 2 points cannot pin down dimension 3 (squares, n = 2)
+    # a family grid of 2 points cannot pin down dimension 3 (squares, n = 2):
+    # growth_sweep refuses it
     fam = [normalize([[0.5, 1.0]])]
     remez_constant_estimate(squares(), 1, 0.25, 0.5, fam, 0.5)
-    with pytest.raises(ConfigError, match="mesh too coarse for this degree"):
+    with pytest.raises(ConfigError,
+                       match="grid of 2 points too small for dimension 3"):
         remez_constant_estimate(squares(), 2, 0.25, 0.5, fam, 0.5)
 
 

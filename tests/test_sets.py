@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from muntzlab.errors import ConfigError
 from muntzlab.sets import (
     MAX_GRID_POINTS,
+    Grid,
     discretize,
     essential_supremum,
     fat_cantor,
@@ -214,3 +215,18 @@ def test_union_json_roundtrip():
             union_from_json({"fat_cantor": {"level": level}})
     with pytest.raises(ConfigError):
         union_from_json({"fat_cantor": {"level": 2, "carrier": [0, "b"]}})
+
+
+@pytest.mark.parametrize("points", [(0.1, 0.5, 0.5), (0.1, math.nan)])
+def test_grid_refuses_points_that_are_not_strictly_increasing(points):
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        Grid(points, normalize([[0.0, 1.0]]), 0.5)
+
+
+def test_union_from_json_refuses_a_fat_cantor_beyond_the_grid_cap():
+    # 2^16 intervals fit under MAX_GRID_POINTS; 2^17 do not, and no mesh
+    # could discretize them, so they are refused before any is built
+    assert len(union_from_json({"fat_cantor": {"level": 16}}).intervals) == 2**16
+    for level in (17, 20, 10**18):
+        with pytest.raises(ConfigError, match=f"level {level} has 2\\^{level}"):
+            union_from_json({"fat_cantor": {"level": level}})
