@@ -24,7 +24,8 @@ import numpy as np
 from muntzlab import products, remezlab
 from muntzlab.errors import ConfigError, MuntzlabError, finite_number
 from muntzlab.exponents import sequence_from_json
-from muntzlab.sets import (MAX_CANTOR_LEVEL, MAX_GRID_POINTS, discretize,
+from muntzlab.sets import (MAX_CANTOR_LEVEL, MAX_GRID_POINTS,
+                           check_interval_total, discretize,
                            essential_supremum, fat_cantor, normalize,
                            union_from_json)
 
@@ -44,7 +45,8 @@ class Field(NamedTuple):
     """One config field: `kind` is int, float, str or a nested descriptor's
     parser.  Numbers lie in [lo, hi]; a bool is no number, an int is a float
     and a float is finite.  With `many` > 0 the field is a list of 1 to
-    `many` such values.  A field with a default other than None is optional."""
+    `many` such values; a list of sets holds at most MAX_GRID_POINTS
+    intervals in all.  A field with a default other than None is optional."""
 
     kind: object
     lo: float = -math.inf
@@ -90,6 +92,8 @@ def _value(name: str, v, f: Field):
     if f.many:
         if not isinstance(v, list) or not 1 <= len(v) <= f.many:
             raise ConfigError(f"{name} must be a list of 1 to {f.many} entries")
+        if f.kind is union_from_json:
+            check_interval_total(v, name)
         return [_value(f"{name}[{i}]", x, f._replace(many=0))
                 for i, x in enumerate(v)]
     if f.kind not in (int, float, str):  # the parser of a nested descriptor

@@ -206,7 +206,7 @@ def _exchange(N: int, size: int, solve, what: str,
             cyc = levels[first:]
             return ref, state, (
                 f"exchange fell into a {len(cyc)}-cycle of references at step "
-                f"{first} ({what} between {min(cyc):.3g} and {max(cyc):.3g})")
+                f"{first} ({what} between {min(cyc):.15g} and {max(cyc):.15g})")
         if len(levels) >= MAX_EXCHANGES:
             return ref, state, f"no convergence within {MAX_EXCHANGES} exchanges"
         ref = new_ref

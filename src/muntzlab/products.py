@@ -5,7 +5,6 @@ monomial witnesses, and a coordinate-descent non-density search."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -399,13 +398,17 @@ def product_approx_search(
     minimax in p_j's coefficients (weighted basis g(x) x^lambda) and is
     solved by LP.  Points where g vanishes stay in as constraints bounding
     |f| there; no division by g ever happens.  best_error_by_round is the
-    running best over all restarts, nonincreasing by construction.
+    running best over all restarts; the error never rises within a
+    restart, so it is nonincreasing.
 
-    Within a restart each LP answer (c_new, err, ref) is kept under a
-    digest of its input B = g * V[j] (f is fixed).  An identical LP input
-    gives an identical output, so a repeated input, of this factor or of
-    another one with the same space, solves no LP and the trace and the
-    factors are the same bits.  Each LP starts its exchange from the
+    A restart stops at its fixed point.  Factor j's LP input depends only on
+    the other k - 1 factors (f is fixed).  Once the k - 1 subproblems before
+    j's changed nothing, neither coefficient bytes nor the error, j's LP
+    would return its last answer, and so would every later subproblem; the
+    remaining rounds only carry the error.  The count of such subproblems
+    starts at -1, at the start of a restart and after a dead-product
+    perturbation, so that it reaches k - 1 only at a factor whose last LP
+    saw its current partners.  Each LP starts its exchange from the
     reference ref of this factor's last answer, which saves exchange steps
     and changes no bit of the answer.
     """
@@ -435,35 +438,33 @@ def product_approx_search(
             coeffs.append(c)
         F = [V[j] @ coeffs[j] for j in range(spec.k)]
         cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
-        lps = {}  # sha256 of B -> (c_new, err)
+        idle = -1  # subproblems in a row that changed nothing
         for t in range(rounds):
             for j in range(spec.k):
+                if idle >= spec.k - 1:
+                    break  # fixed point: every later subproblem repeats
                 g = np.prod([F[i] for i in range(spec.k) if i != j], axis=0) \
                     if spec.k > 1 else np.ones_like(x)
+                if not np.any(g):
+                    # dead product: perturb this factor's complement
+                    for i in range(spec.k):
+                        if i != j:
+                            coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
+                            F[i] = V[i] @ coeffs[i]
+                    idle = -1
+                    continue
                 B = g[:, None] * V[j]
-                key = hashlib.sha256(B.tobytes()).digest()
-                if key not in lps:
-                    if not np.any(g):
-                        # dead product: perturb this factor's complement
-                        for i in range(spec.k):
-                            if i != j:
-                                coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
-                                F[i] = V[i] @ coeffs[i]
-                        continue
-                    lps[key] = discrete_minimax_lp(B, f, start=starts[j])
-                c_new, err, starts[j] = lps[key]
-                if err <= cur:
+                c_new, err, starts[j] = discrete_minimax_lp(B, f, start=starts[j])
+                idle += 1
+                if err < cur or (err == cur and c_new.tobytes() != coeffs[j].tobytes()):
                     coeffs[j] = c_new
                     F[j] = V[j] @ c_new
                     cur = err
-            if cur < best_by_round[t]:
-                best_by_round[t] = cur
+                    idle = 0
+            best_by_round[t] = min(best_by_round[t], cur)
             if cur < best_err:
                 best_err = cur
                 best_coeffs = [c.copy() for c in coeffs]
-        # a later restart must not raise the recorded floor of earlier rounds
-        for t in range(1, rounds):
-            best_by_round[t] = min(best_by_round[t], best_by_round[t - 1])
 
     factors = tuple(
         MuntzPolynomial(tuple(truncate(seq, n)), tuple(float(v) for v in c))

@@ -167,6 +167,29 @@ def union_to_json(A: IntervalUnion) -> dict:
     return {"intervals": [[a, b] for a, b in A.intervals]}
 
 
+def _json_interval_count(obj) -> int:
+    """The intervals that a set descriptor asks for, read off the JSON:
+    the pairs of an interval list, 2^K for a level-K fat Cantor set.  A
+    descriptor that is not well formed counts 0; union_from_json refuses
+    it."""
+    if not isinstance(obj, dict):
+        return 0
+    if isinstance(obj.get("intervals"), list):
+        return len(obj["intervals"])
+    spec = obj.get("fat_cantor")
+    level = spec.get("level") if isinstance(spec, dict) else None
+    return 2 ** level if isinstance(level, int) and 0 <= level <= MAX_CANTOR_LEVEL else 0
+
+
+def check_interval_total(objs: list, what: str) -> None:
+    """Refuse set descriptors that together hold more than MAX_GRID_POINTS
+    intervals, counted on the JSON, so before any set is built."""
+    total = sum(_json_interval_count(obj) for obj in objs)
+    if total > MAX_GRID_POINTS:
+        raise ConfigError(f"{what} holds {total} intervals in all, more than "
+                          f"{MAX_GRID_POINTS}")
+
+
 def union_from_json(obj: dict) -> IntervalUnion:
     """Parse {"intervals": [[a,b],...]} or
     {"fat_cantor": {"level": K, "carrier": [a,b]}}, a subset of [0, 1].

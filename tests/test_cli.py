@@ -329,6 +329,7 @@ def assert_refused(command, cfg):
     assert code == 2, (cfg, err)
     assert err.startswith("muntzlab: config error:"), err
     assert err.count("\n") == 1, err
+    return err
 
 
 def refused_values(f, valid):
@@ -484,6 +485,21 @@ def test_a_family_of_sets_beyond_the_grid_cap_is_refused_at_once():
     t0 = time.perf_counter()
     assert_refused("remez-constant", cfg)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_a_family_beyond_the_interval_cap_is_refused_at_once():
+    # each level-16 fat Cantor set passes the cap alone, but 256 of them
+    # hold 2^24 intervals, about 2.3 GiB once built: the family is refused
+    # on its JSON, before any set is built
+    level16 = {"fat_cantor": {"level": 16, "carrier": [0.5, 1.0]}}
+    cfg = dict(VALID["remez-constant"], family=[level16] * cli.MAX_LIST)
+    t0 = time.perf_counter()
+    err = assert_refused("remez-constant", cfg)
+    assert time.perf_counter() - t0 < 5.0
+    assert "family holds 16777216 intervals in all, more than 100000" in err
+    # a single level-16 set stays accepted
+    typed = cli._parse(dict(cfg, family=[level16]), cli.SCHEMAS["remez-constant"])
+    assert len(typed.family[0].intervals) == 2**16
 
 
 def test_top_level_help_names_every_products_task():

@@ -335,12 +335,12 @@ def test_spec_k():
     assert ProductSpaceSpec((squares(), squares(), explicit([0.0, 2.0]))).k == 3
 
 
-# ------------------------------------------------- search without LP reuse
+# ------------------------------------------ search without the fixed point
 
 
 def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
-    """The search loop with every LP solved afresh: the oracle for the
-    LP reuse in product_approx_search."""
+    """The search loop with every LP solved afresh in every round: the
+    oracle for the fixed-point stop in product_approx_search."""
     V = [basis_matrix(x, truncate(seq, n)) for seq in spec.sequences]
     dims = [v.shape[1] for v in V]
     rng = np.random.default_rng([seed, 777])
@@ -408,7 +408,7 @@ def counting_lp(monkeypatch, module):
     return calls
 
 
-def test_search_reuses_lps_on_criterion_8(monkeypatch):
+def test_search_stops_each_restart_at_its_fixed_point_on_criterion_8(monkeypatch):
     g = discretize(normalize([[0.0, 1.0]]), 1.0 / 256)
     x = g.as_array()
     f = np.abs(2 * x - 1)
@@ -423,19 +423,21 @@ def test_search_reuses_lps_on_criterion_8(monkeypatch):
     assert rep.best_error_by_round[-1] == 5.6345871490953825e-2
     assert rep.best_error_by_round[-1] == pytest.approx(
         np.max(np.abs(f - eval_product(rep.best, x))), rel=1e-12)
-    # no dead product here, so oracle LP i is restart i // 80; the search
-    # solves exactly the LPs whose input is new to that restart, whichever
-    # factor asked first (in restart 0, factors 1, 2 and 3 all start from
-    # the same (B, f))
+    # no dead product here, so oracle LP i is restart i // 80.  Each restart
+    # of the search poses the first LPs of the oracle's same restart, and
+    # stops where every later oracle input repeats the one k LPs before it
     assert len(oracle_calls) == 400
-    new = []
-    seen = set()
-    for i, key in enumerate(oracle_calls):
-        if (i // 80, key) not in seen:
-            seen.add((i // 80, key))
-            new.append(key)
-    assert calls == new
-    assert len(calls) == 138
+    pos = 0
+    for r in range(args["restarts"]):
+        restart = oracle_calls[80 * r:80 * (r + 1)]
+        posed = 0
+        while pos + posed < len(calls) and posed < 80 and \
+                calls[pos + posed] == restart[posed]:
+            posed += 1
+        pos += posed
+        assert posed >= spec.k
+        assert all(restart[i] == restart[i - spec.k] for i in range(posed, 80))
+    assert pos == len(calls) == 140
 
 
 def test_search_k1_matches_plain_descent_with_one_lp_per_restart(monkeypatch):
@@ -470,6 +472,31 @@ def test_search_matches_plain_descent_through_dead_products(monkeypatch, k,
     oracle_calls = counting_lp(monkeypatch, sys.modules[__name__])
     oracle = plain_coordinate_descent(f, x, spec, **args)
     assert len(oracle_calls) < k * args["rounds"] * args["restarts"]
+    assert_same_bits(rep, oracle)
+
+
+@pytest.mark.parametrize("k, target, seed, space, n", [
+    (2, "x4", 3, "mixed", 3),
+    (4, "x4", 7, "mixed", 3),
+    (2, "cheb3", 7, "mixed", 2),
+    (3, "cheb3", 3, "mixed", 2),
+    (4, "cheb3", 7, "squares", 2),
+])
+def test_search_matches_plain_descent(monkeypatch, k, target, seed, space, n):
+    # more factors, seeds and spaces; mixed alternates squares and
+    # arithmetic(1).  T_3(2x - 1) at n = 2 makes dead products here too.
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 64)
+    x = g.as_array()
+    f = x ** 4 if target == "x4" else np.cos(3 * np.arccos(2 * x - 1))
+    spec = ProductSpaceSpec(tuple(
+        arithmetic(1.0) if space == "mixed" and j % 2 else squares()
+        for j in range(k)))
+    args = dict(n=n, rounds=8, seed=seed, restarts=3)
+    rep = product_approx_search(f, g, spec, **args)
+    oracle_calls = counting_lp(monkeypatch, sys.modules[__name__])
+    oracle = plain_coordinate_descent(f, x, spec, **args)
+    full = k * args["rounds"] * args["restarts"]
+    assert (len(oracle_calls) < full) == (target == "cheb3")
     assert_same_bits(rep, oracle)
 
 

@@ -9,6 +9,7 @@ from muntzlab.errors import ConfigError
 from muntzlab.sets import (
     MAX_GRID_POINTS,
     Grid,
+    check_interval_total,
     discretize,
     essential_supremum,
     fat_cantor,
@@ -230,3 +231,15 @@ def test_union_from_json_refuses_a_fat_cantor_beyond_the_grid_cap():
     for level in (17, 20, 10**18):
         with pytest.raises(ConfigError, match=f"level {level} has 2\\^{level}"):
             union_from_json({"fat_cantor": {"level": level}})
+
+
+def test_check_interval_total_counts_the_json():
+    # the pairs of an interval list, overlapping or not, and 2^K per fat
+    # Cantor set: 80000 + 16384 intervals fit, 120000 do not
+    pairs = {"intervals": [[0.0, 0.1]] * 40_000}
+    check_interval_total([pairs, pairs, {"fat_cantor": {"level": 14}}], "family")
+    with pytest.raises(ConfigError, match="family holds 120000 intervals in all"):
+        check_interval_total([pairs] * 3, "family")
+    # a malformed descriptor counts 0 and is left to union_from_json
+    check_interval_total([None, {"intervals": 3}, {"fat_cantor": {"level": 10**18}},
+                          {"fat_cantor": {"level": -1}}], "family")
