@@ -422,7 +422,7 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
     return values, coeffs, peaks
 
 
-def _growth_lp(Q: np.ndarray, q, t: np.ndarray, exact: bool, finish):
+def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, exact: bool, finish):
     """The growth LP, max q . b subject to -1 <= Q b <= 1, for each query
     row q of one group, by exchange (Stiefel 1960: the simplex method on
     this LP).  The Lagrange functions of a Chebyshev system change sign at
@@ -432,15 +432,15 @@ def _growth_lp(Q: np.ndarray, q, t: np.ndarray, exact: bool, finish):
     +1 below y, -1 above it inside.  After _set_chebyshev(Q, t),
     finish(t, start), the 60-digit exchange from its reference, answers
     when `exact` or when the double exchange fails or a value exceeds
-    MP_VALUE_THRESHOLD.  Returns (values, b, None), b in Q coordinates, or
-    (values, None, (coefficients, peaks)) of the 60-digit answer.
+    MP_VALUE_THRESHOLD.  Returns (values, coefficients, peaks) on either
+    route: the double answer b is mapped back through R, V = Q R, and its
+    peaks are |Q b|; the 60-digit peaks are Decimal.
     """
     b, ref, failure = _set_chebyshev(Q, t)
     values = [abs(float(row @ b)) for row in q]
     if exact or failure is not None or max(values) > MP_VALUE_THRESHOLD:
-        values, coeffs, peaks = finish(t, ref)
-        return values, None, (coeffs, peaks)
-    return values, b, None
+        return finish(t, ref)
+    return values, np.linalg.solve(R, b), np.abs(Q @ b)
 
 
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
@@ -483,14 +483,14 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     # a group is keyed by (skip, split): the grid point left out (or None)
     # and the number of remaining grid points below y, where t turns from
     # +1 to -1 (all of them when none lies above, or none below)
-    grid_points = set(x.tolist())
     answers, groups = [None] * len(ys), {}
     for i, (y, k) in enumerate(zip(ys, np.searchsorted(x, ys).tolist())):
-        if y in grid_points and 0.0 in exps:
+        on_grid = k < N and x[k] == y
+        if on_grid and 0.0 in exps:
             answers[i] = (1.0, extremal([float(e == 0.0) for e in exps],
                                         np.ones(N, dtype=bool)))
             continue
-        skip = k if y in grid_points else None
+        skip = k if on_grid else None
         groups.setdefault((skip, k or N - (skip is not None)), []).append(i)
 
     for (skip, split), group in groups.items():
@@ -507,10 +507,8 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
 
             Q = Qall[:N] if skip is None else Qall[keep]
             t = np.where(np.arange(len(keep)) < split, 1.0, -1.0)
-            values, b, exact = _growth_lp(Q, Qall[N:][group], t,
-                                          (skip, split) != (None, N), finish)
-            coeffs, peaks = ((np.linalg.solve(R, b), np.abs(Q @ b))
-                             if exact is None else exact)
+            values, coeffs, peaks = _growth_lp(Q, R, Qall[N:][group], t,
+                                               (skip, split) != (None, N), finish)
         scale = 1.0
         if skip is not None:  # y itself bounds p(y) by 1
             peaks, scale = np.insert(peaks, skip, values[0]), max(1.0, values[0])

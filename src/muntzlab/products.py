@@ -94,20 +94,18 @@ def _cells(y: float, mesh: float) -> tuple[np.ndarray, float]:
     return mids, w
 
 
-def superlevel_measure(p, y: float, theta: float, mesh: float) -> float:
-    """Grid-cell measure of {x in [y,1] : |p(x)| > theta * |p(y)|}, tested
-    as |p(x)| > |p(y)| / (1 / theta): the comparison of estimate_alpha and
-    inequality_chain_report at alpha = 1 / theta.  At theta = 1 / alpha it
-    counts the cells they count whenever 1 / (1 / alpha) == alpha; else it
-    counts those they count at 1 / (1 / alpha), a neighbour of alpha."""
+def superlevel_measure(p, y: float, alpha: float, mesh: float) -> float:
+    """Grid-cell measure of {x in [y,1] : |p(x)| > |p(y)| / alpha}: the
+    comparison that estimate_alpha inverts and inequality_chain_report
+    applies, so at an estimated alpha it counts exactly their cells."""
     if y >= 1.0:
         raise ConfigError("y must be < 1")
-    if theta <= 0:
-        raise ConfigError("theta must be positive")
+    if not alpha > 0:  # NaN too
+        raise ConfigError("alpha must be positive")
     mids, w = _cells(y, mesh)
     pv = np.abs(np.asarray(p(mids), dtype=float))
     py = abs(float(p(y)))
-    return w * int(np.count_nonzero(pv > py / (1.0 / theta)))
+    return w * int(np.count_nonzero(pv > py / alpha))
 
 
 def sample_factors(exponents, budget: int, rng, mesh: float) -> list[MuntzPolynomial]:
@@ -397,9 +395,11 @@ def product_approx_search(
     the fixed factors, min over p_j of max |f - g * p_j| is a linear
     minimax in p_j's coefficients (weighted basis g(x) x^lambda) and is
     solved by LP.  Points where g vanishes stay in as constraints bounding
-    |f| there; no division by g ever happens.  best_error_by_round is the
-    running best over all restarts; the error never rises within a
-    restart, so it is nonincreasing.
+    |f| there; no division by g ever happens.  The error is always the
+    residual max |f - prod p_j| of the current factors: an LP never raises
+    it, a dead-product perturbation can.  best_error_by_round is the
+    running best over all rounds so far of all restarts, so it is
+    nonincreasing, and its last entry is the residual of `best`.
 
     A restart stops at its fixed point.  Factor j's LP input depends only on
     the other k - 1 factors (f is fixed).  Once the k - 1 subproblems before
@@ -424,6 +424,9 @@ def product_approx_search(
     dims = [v.shape[1] for v in V]
     rng = np.random.default_rng([seed, 777])
 
+    def residual():
+        return float(np.max(np.abs(f - np.prod(F, axis=0))))
+
     best_by_round = [math.inf] * rounds
     best_err = math.inf
     best_coeffs = None
@@ -437,7 +440,7 @@ def product_approx_search(
                 c = c + 0.5 * rng.standard_normal(dims[j])
             coeffs.append(c)
         F = [V[j] @ coeffs[j] for j in range(spec.k)]
-        cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
+        cur, low = residual(), math.inf  # low: the restart's best round
         idle = -1  # subproblems in a row that changed nothing
         for t in range(rounds):
             for j in range(spec.k):
@@ -451,6 +454,7 @@ def product_approx_search(
                         if i != j:
                             coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
                             F[i] = V[i] @ coeffs[i]
+                    cur = residual()
                     idle = -1
                     continue
                 B = g[:, None] * V[j]
@@ -461,7 +465,8 @@ def product_approx_search(
                     F[j] = V[j] @ c_new
                     cur = err
                     idle = 0
-            best_by_round[t] = min(best_by_round[t], cur)
+            low = min(low, cur)
+            best_by_round[t] = min(best_by_round[t], low)
             if cur < best_err:
                 best_err = cur
                 best_coeffs = [c.copy() for c in coeffs]

@@ -120,25 +120,29 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
 
     At step k, each of the 2^(k-1) surviving intervals loses its centered
     open middle of length 4^(-k); the level-K set on [0,1] consists of 2^K
-    closed intervals of total measure 1/2 + 2^(-(K+1)).  Levels above
-    MAX_CANTOR_LEVEL are refused before any interval is built.
+    closed intervals of total measure 1/2 + 2^(-(K+1)).  On a carrier too
+    narrow for floating point to resolve a gap, the pieces on either side
+    of it touch once mapped and are merged into one interval.  A level
+    that is not an integer in [0, MAX_CANTOR_LEVEL] is refused before any
+    interval is built.
     """
-    if not 0 <= K <= MAX_CANTOR_LEVEL:
-        raise ConfigError(f"level must lie in [0, {MAX_CANTOR_LEVEL}]")
+    if isinstance(K, bool) or not isinstance(K, int) or not 0 <= K <= MAX_CANTOR_LEVEL:
+        raise ConfigError(f"fat_cantor level must be an integer in "
+                          f"[0, {MAX_CANTOR_LEVEL}], not {K!r}")
     c0, c1 = _pair(carrier, "carrier")
     if c0 < 0 or c1 < c0:
         raise ConfigError("carrier must be a valid interval in [0, inf)")
-    pieces = [(0.0, 1.0)]
+    lo, hi = np.zeros(1), np.ones(1)
     for k in range(1, K + 1):
-        gap = 4.0 ** (-k)
-        nxt = []
-        for a, b in pieces:
-            mid = 0.5 * (a + b)
-            nxt.append((a, mid - gap / 2))
-            nxt.append((mid + gap / 2, b))
-        pieces = nxt
+        half_gap = 4.0 ** (-k) / 2
+        mid = 0.5 * (lo + hi)  # each [lo, hi] splits into its two ends
+        lo = np.stack([lo, mid + half_gap], axis=1).ravel()
+        hi = np.stack([mid - half_gap, hi], axis=1).ravel()
     w = c1 - c0
-    return IntervalUnion(tuple((c0 + w * a, c0 + w * b) for a, b in pieces))
+    lo, hi = c0 + w * lo, c0 + w * hi
+    apart = lo[1:] > hi[:-1]
+    lo, hi = lo[np.r_[True, apart]], hi[np.r_[apart, True]]
+    return IntervalUnion(tuple(zip(lo.tolist(), hi.tolist())))
 
 
 def discretize(A: IntervalUnion, mesh: float) -> Grid:
@@ -193,10 +197,12 @@ def check_interval_total(objs: list, what: str) -> None:
 def union_from_json(obj: dict) -> IntervalUnion:
     """Parse {"intervals": [[a,b],...]} or
     {"fat_cantor": {"level": K, "carrier": [a,b]}}, a subset of [0, 1].
-    A level whose 2^K intervals exceed MAX_GRID_POINTS is refused before
-    any interval is built, as discretize refuses every mesh for it."""
+    A descriptor of more than MAX_GRID_POINTS intervals is refused by
+    check_interval_total before any interval is built, as discretize
+    refuses every mesh for it."""
     if not isinstance(obj, dict):
         raise ConfigError("set descriptor must be an object")
+    check_interval_total([obj], "set")
     if set(obj) == {"intervals"}:
         A = normalize(obj["intervals"])
         top = A.intervals[-1][1] if A.intervals else 0.0
@@ -207,14 +213,8 @@ def union_from_json(obj: dict) -> IntervalUnion:
         unknown = set(spec) - {"level", "carrier"}
         if unknown:
             raise ConfigError(f"unknown fat_cantor fields: {sorted(unknown)}")
-        level = spec["level"]
-        if isinstance(level, bool) or not isinstance(level, int):
-            raise ConfigError(f"fat_cantor level must be an integer, not {level!r}")
-        if level > math.log2(MAX_GRID_POINTS):
-            raise ConfigError(f"fat_cantor level {level} has 2^{level} "
-                              f"intervals, more than {MAX_GRID_POINTS}")
         carrier = spec.get("carrier", (0.0, 1.0))
-        A = fat_cantor(level, carrier)
+        A = fat_cantor(spec["level"], carrier)
         top = _pair(carrier, "carrier")[1]
     else:
         raise ConfigError(f"unrecognized set descriptor: {sorted(obj)}")

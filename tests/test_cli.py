@@ -586,3 +586,39 @@ def test_readme_examples_are_the_benchmarked_ones(monkeypatch):
         assert seed(args) == seed(cli_readme.cli_args(name, Path("cfg.json"),
                                                       Path("out.csv"), 0))
         assert seed(args) == ("42" if name == "products" else None)
+
+
+def test_benchmarked_headers_are_the_columns_table(monkeypatch):
+    # perfbench/cli_readme.py checks each example's CSV header against its
+    # own copy of the columns, which must not drift from cli.COLUMNS
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import cli_readme
+
+    assert set(cli_readme.HEADERS) == set(cli_readme.EXAMPLES)
+    for name, header in cli_readme.HEADERS.items():
+        cmd, config = cli_readme.EXAMPLES[name]
+        key = f"{cmd}.{config['task']}" if "task" in config else cmd
+        assert cli.COLUMNS[key].split(":")[0] == header, name
+
+
+def readme_field_table():
+    """{schema name: {field: optional?}} from README's config-field table."""
+    rows = re.findall(r"^\| (`.*?) \| (.*) \|$",
+                      (ROOT / "README.md").read_text(encoding="utf-8"),
+                      flags=re.MULTILINE)
+    table = {}
+    for label, fields in rows:
+        task = re.search(r'"task": "(\w+)"', label)
+        name = re.match(r"`([\w-]+)`", label).group(1)
+        key = f"{name}.{task.group(1)}" if task else name
+        table[key] = {f: bool(q) for f, q in re.findall(r"`(\w+)`(\??)", fields)}
+    return table
+
+
+def test_readme_field_table_is_the_schemas():
+    # the same fields, and `?` exactly where the schema has a default; the
+    # task field of a products schema is named in the row's label
+    expected = {name: {f: field.default is not None
+                       for f, field in schema.items() if f != "task"}
+                for name, schema in cli.SCHEMAS.items()}
+    assert readme_field_table() == expected

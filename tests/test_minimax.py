@@ -432,9 +432,11 @@ def test_growth_scale_invariant_under_column_rescaling():
         t = np.where(x < y, 1.0, -1.0) if y > x[0] else np.ones(len(x))
         vals = []
         for W in (V, V @ np.diag([3.0, 1e-6, 40.0])):
-            Q, _ = orthonormalize(W)
-            values, b, _ = minimax._growth_lp(Q[:-1], [Q[-1]], t, False, None)
-            assert b is not None  # no 60-digit finish
+            Q, R = orthonormalize(W)
+            # finish None: a 60-digit finish would raise TypeError
+            values, _, peaks = minimax._growth_lp(Q[:-1], R, [Q[-1]], t,
+                                                  False, None)
+            assert peaks.dtype == float
             vals.append(values[0])
         assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 

@@ -56,40 +56,40 @@ def test_eval_product_is_the_product_of_the_factors():
 
 
 def test_superlevel_measure_simple():
-    # p = x on [0, 1]: {x in [y,1] : x > theta * y}
+    # p = x on [0, 1]: {x in [y,1] : x > y / alpha}
     p = MuntzPolynomial((1.0,), (1.0,))
     # y = 0: superlevel set is (0, 1], measure 1
     assert superlevel_measure(p, 0.0, 1.0, 1e-3) == pytest.approx(1.0, abs=1e-2)
-    # y = 0.5, theta = 1: {x > 0.5} within [0.5, 1], measure 0.5
+    # y = 0.5, alpha = 1: {x > 0.5} within [0.5, 1], measure 0.5
     assert superlevel_measure(p, 0.5, 1.0, 1e-3) == pytest.approx(0.5, abs=1e-2)
-    # y = 0.5, theta = 1.5: {x > 0.75} within [0.5, 1], measure 0.25
-    assert superlevel_measure(p, 0.5, 1.5, 1e-3) == pytest.approx(0.25, abs=1e-2)
+    # y = 0.5, alpha = 2/3: {x > 0.75} within [0.5, 1], measure 0.25
+    assert superlevel_measure(p, 0.5, 2 / 3, 1e-3) == pytest.approx(0.25, abs=1e-2)
 
 
 def test_superlevel_measure_validation():
     p = MuntzPolynomial((1.0,), (1.0,))
     with pytest.raises(ConfigError):
         superlevel_measure(p, 1.0, 1.0, 1e-2)
-    with pytest.raises(ConfigError):
-        superlevel_measure(p, 0.5, 0.0, 1e-2)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="alpha must be positive"):
+            superlevel_measure(p, 0.5, alpha, 1e-2)
 
 
-def test_superlevel_monotone_in_theta():
+def test_superlevel_monotone_in_alpha():
     p = MuntzPolynomial((0.0, 1.0, 4.0), (0.3, -1.2, 2.0))
     prev = None
-    for theta in (0.25, 0.5, 1.0, 2.0, 4.0):
-        m = superlevel_measure(p, 0.2, theta, 1e-3)
+    for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
+        m = superlevel_measure(p, 0.2, alpha, 1e-3)
         if prev is not None:
-            assert m <= prev + 1e-12
+            assert m >= prev - 1e-12
         prev = m
         assert 0.0 <= m <= 0.8 + 1e-2
 
 
-def test_superlevel_measure_counts_the_chain_at_one_over_theta():
-    # the chain's comparison |p| > |p(y)| / alpha at alpha = 1 / theta; at
-    # theta = 1 / alpha that is alpha itself only when the reciprocal
-    # round-trips.  Here it does not, and one cell of p = 1 - x lies
-    # between the two thresholds
+def test_superlevel_measure_counts_the_chain_at_alpha():
+    # the chain's comparison |p| > |p(y)| / alpha, at alpha itself: this
+    # alpha does not round-trip through its reciprocal, and one cell of
+    # p = 1 - x lies between the thresholds at alpha and at 1 / (1 / alpha)
     p = MuntzPolynomial((0.0, 1.0), (1.0, -1.0))
     alpha = 1.8518518518518519
     back = 1.0 / (1.0 / alpha)
@@ -100,9 +100,9 @@ def test_superlevel_measure_counts_the_chain_at_one_over_theta():
     def chain(a):
         return w * int(np.count_nonzero(pv > py / a))
 
-    got = superlevel_measure(p, 0.25, 1.0 / alpha, 1e-2)
-    assert got == chain(back)
-    assert chain(alpha) == pytest.approx(got + w)
+    got = superlevel_measure(p, 0.25, alpha, 1e-2)
+    assert got == chain(alpha)
+    assert got == pytest.approx(chain(back) + w)
 
 
 def test_draw_alpha_samples_deterministic():
@@ -180,11 +180,11 @@ def test_criterion_6_alphas_are_the_smallest(j):
     assert est.alpha == 17090.79100928129
     samples = draw_alpha_samples(squares(), 6, 0.25, 25, 42, 1e-3, j=j)
     assert_smallest_alpha(est, samples, 1e-3)
-    # superlevel_measure at theta = 1 / alpha counts the cells the chain
-    # counts, so every sample reaches its target there too
+    # superlevel_measure at alpha counts the cells the chain counts, so
+    # every sample reaches its target there too
     for y in products.alpha_y_grid(0.25):
         for p in samples:
-            assert superlevel_measure(p, y, 1.0 / est.alpha, 1e-3) >= (
+            assert superlevel_measure(p, y, est.alpha, 1e-3) >= (
                 1.0 - y - 0.25 / 4 - 1e-12)
 
 
@@ -368,6 +368,7 @@ def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
                         if i != j:
                             coeffs[i] = coeffs[i] + 0.1 * rng.standard_normal(dims[i])
                             F[i] = V[i] @ coeffs[i]
+                    cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
                     continue
                 B = g[:, None] * V[j]
                 c_new, err, _ = discrete_minimax_lp(B, f)
@@ -473,6 +474,26 @@ def test_search_matches_plain_descent_through_dead_products(monkeypatch, k,
     oracle = plain_coordinate_descent(f, x, spec, **args)
     assert len(oracle_calls) < k * args["rounds"] * args["restarts"]
     assert_same_bits(rep, oracle)
+
+
+@pytest.mark.parametrize("k, target, seed, n", [
+    (2, "zero", 0, 2), (2, "zero", 0, 3), (3, "zero", 7, 2), (4, "zero", 3, 3),
+    (2, "cheb3", 3, 2), (4, "cheb3", 7, 3),
+])
+def test_search_reports_the_residual_of_its_factors(k, target, seed, n):
+    # a dead-product perturbation moves the factors, and the error is
+    # measured again there: the last entry is the residual of `best` (it
+    # once read 0.0 for a residual of 0.2368 at the first case), and each
+    # entry is the best over the rounds so far
+    g = discretize(normalize([[0.0, 1.0]]), 1.0 / 64)
+    x = g.as_array()
+    f = np.zeros_like(x) if target == "zero" else np.cos(3 * np.arccos(2 * x - 1))
+    spec = ProductSpaceSpec(tuple(squares() for _ in range(k)))
+    rep = product_approx_search(f, g, spec, n, rounds=6, seed=seed, restarts=3)
+    trace = rep.best_error_by_round
+    assert trace[-1] == pytest.approx(
+        np.max(np.abs(f - eval_product(rep.best, x))), rel=1e-8, abs=1e-300)
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 @pytest.mark.parametrize("k, target, seed, space, n", [

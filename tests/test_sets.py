@@ -228,9 +228,40 @@ def test_union_from_json_refuses_a_fat_cantor_beyond_the_grid_cap():
     # 2^16 intervals fit under MAX_GRID_POINTS; 2^17 do not, and no mesh
     # could discretize them, so they are refused before any is built
     assert len(union_from_json({"fat_cantor": {"level": 16}}).intervals) == 2**16
-    for level in (17, 20, 10**18):
-        with pytest.raises(ConfigError, match=f"level {level} has 2\\^{level}"):
+    for level in (17, 20):
+        with pytest.raises(ConfigError,
+                           match=f"set holds {2**level} intervals in all"):
             union_from_json({"fat_cantor": {"level": level}})
+    with pytest.raises(ConfigError, match="level must be an integer in \\[0, 20\\]"):
+        union_from_json({"fat_cantor": {"level": 10**18}})
+
+
+def test_union_from_json_refuses_an_interval_list_beyond_the_grid_cap():
+    # counted on the JSON like a family, so before normalize merges them
+    pairs = [[0.0, 0.5]] * (MAX_GRID_POINTS + 1)
+    with pytest.raises(ConfigError, match=f"set holds {MAX_GRID_POINTS + 1} "
+                                          "intervals in all"):
+        union_from_json({"intervals": pairs})
+    assert union_from_json({"intervals": pairs[1:]}).intervals == ((0.0, 0.5),)
+
+
+@pytest.mark.parametrize("level", [3.0, 2.5, True, "3", None, -1, 21])
+def test_fat_cantor_refuses_a_level_that_is_not_an_integer_in_range(level):
+    with pytest.raises(ConfigError, match="level must be an integer in"):
+        fat_cantor(level)
+
+
+@pytest.mark.parametrize("level, carrier, pieces", [
+    (4, (0.5, 0.5 + 1e-15), 4), (16, (0.5, 0.5 + 1e-8), 13012), (3, (0.5, 0.5), 1)])
+def test_fat_cantor_merges_pieces_that_touch_on_a_narrow_carrier(
+        level, carrier, pieces):
+    # gaps below the carrier's float spacing close once mapped; the pieces
+    # on either side merge, and the grid stays strictly increasing
+    A = fat_cantor(level, carrier)
+    assert len(A.intervals) == pieces
+    assert A == normalize(A.intervals)
+    assert all(b < c for (_, b), (c, _) in zip(A.intervals, A.intervals[1:]))
+    discretize(A, 1e-3)
 
 
 def test_check_interval_total_counts_the_json():
