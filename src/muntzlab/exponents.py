@@ -1,15 +1,10 @@
-"""Exponent sequences 0 = l0 < l1 < l2 < ... and the divergence test
-sum 1/l_i that separates dense from non-dense Muntz systems."""
+"""Exponent sequences 0 = l0 < l1 < l2 < ... and their JSON descriptors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from muntzlab.errors import ConfigError, finite_number
-
-DENSITY_DIVERGES = "diverges"
-DENSITY_CONVERGES = "converges"
-DENSITY_UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -81,34 +76,6 @@ def truncate(seq: ExponentSequence, n: int) -> list[float]:
     if n < 0:
         raise ConfigError("n must be nonnegative")
     return [seq.exponent(i) for i in range(n + 1)]
-
-
-def reciprocal_partial_sum(seq: ExponentSequence, n: int) -> float:
-    """Partial sum sum_{i=1..n} 1/l_i (index 0 excluded: l_0 = 0)."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    return sum(1.0 / seq.exponent(i) for i in range(1, n + 1))
-
-
-def classify_density(seq: ExponentSequence) -> str:
-    """Tail behaviour of sum 1/l_i.  Density in C[0,1] holds exactly when
-    the series diverges; a finite explicit list cannot decide a tail.
-    """
-    if seq.kind == "arithmetic":
-        return DENSITY_DIVERGES
-    if seq.kind == "squares":
-        return DENSITY_CONVERGES
-    return DENSITY_UNDETERMINED
-
-
-def sequence_to_json(seq: ExponentSequence) -> dict:
-    if seq.kind == "arithmetic":
-        kind = {"arithmetic": seq.step}
-    elif seq.kind == "squares":
-        kind = "squares"
-    else:
-        kind = {"explicit": list(seq.values)}
-    return {"kind": kind, "label": seq.description}
 
 
 def sequence_from_json(obj: dict) -> ExponentSequence:

@@ -1,7 +1,7 @@
-"""Products of Muntz spaces: superlevel-set measures, empirical alpha
-constants (each the exact smallest value that its samples need on the cell
-grid), the product Remez bound c = alpha_1 ... alpha_k, four-square
-monomial witnesses, and a coordinate-descent non-density search."""
+"""Products of Muntz spaces: empirical alpha constants (each the exact
+smallest value that its samples need on the cell grid), the product Remez
+bound c = alpha_1 ... alpha_k, four-square monomial witnesses, and a
+coordinate-descent non-density search."""
 
 from __future__ import annotations
 
@@ -92,20 +92,6 @@ def _cells(y: float, mesh: float) -> tuple[np.ndarray, float]:
     w = (1.0 - y) / ncells
     mids = y + w * (np.arange(ncells) + 0.5)
     return mids, w
-
-
-def superlevel_measure(p, y: float, alpha: float, mesh: float) -> float:
-    """Grid-cell measure of {x in [y,1] : |p(x)| > |p(y)| / alpha}: the
-    comparison that estimate_alpha inverts and inequality_chain_report
-    applies, so at an estimated alpha it counts exactly their cells."""
-    if y >= 1.0:
-        raise ConfigError("y must be < 1")
-    if not alpha > 0:  # NaN too
-        raise ConfigError("alpha must be positive")
-    mids, w = _cells(y, mesh)
-    pv = np.abs(np.asarray(p(mids), dtype=float))
-    py = abs(float(p(y)))
-    return w * int(np.count_nonzero(pv > py / alpha))
 
 
 def sample_factors(exponents, budget: int, rng, mesh: float) -> list[MuntzPolynomial]:

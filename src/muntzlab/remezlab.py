@@ -113,8 +113,9 @@ def remez_constant_estimate(
     best = (-np.inf, 0.0, 0)
     for idx, A in enumerate(family):
         for res in growth_sweep(exps, discretize(A, mesh), ys):
-            # ties: smallest query, then family order (strict > keeps the
-            # earliest maximizer in sweep order)
+            # ties: the first maximizing set in family order, then its
+            # smallest query (the loop is family-major, and strict > keeps
+            # the earliest maximizer)
             if res.value > best[0]:
                 best = (res.value, res.query, idx)
     return RemezConstantEstimate(

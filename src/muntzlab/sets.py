@@ -50,14 +50,10 @@ class IntervalUnion:
 
 @dataclass(frozen=True)
 class Grid:
-    """Finite point set discretizing an IntervalUnion; endpoints of every
-    interval are included and consecutive points within an interval are
-    at most `mesh` apart.  The points are strictly increasing, as every
-    solver assumes: ConfigError otherwise."""
+    """Finite point set on which the solvers work.  The points are
+    strictly increasing, as every solver assumes: ConfigError otherwise."""
 
     points: tuple[float, ...]
-    parent: IntervalUnion
-    mesh: float
 
     def __post_init__(self):
         p = self.points
@@ -146,8 +142,10 @@ def fat_cantor(K: int, carrier: tuple[float, float] = (0.0, 1.0)) -> IntervalUni
 
 
 def discretize(A: IntervalUnion, mesh: float) -> Grid:
-    """Uniform subdivision of each interval at spacing <= mesh; degenerate
-    singletons contribute their single point.  A mesh that would give more
+    """Uniform subdivision of each interval at spacing <= mesh: the
+    endpoints of every interval are grid points, consecutive points within
+    an interval are at most `mesh` apart, and degenerate singletons
+    contribute their single point.  A mesh that would give more
     than MAX_GRID_POINTS cells, each interval counting at least one, is
     refused before any point is built."""
     if not mesh > 0:  # NaN too
@@ -164,11 +162,7 @@ def discretize(A: IntervalUnion, mesh: float) -> Grid:
         nseg = max(1, math.ceil(n - 1e-12))
         pts.extend((a + (b - a) * np.arange(nseg) / nseg).tolist())
         pts.append(b)
-    return Grid(tuple(pts), A, mesh)
-
-
-def union_to_json(A: IntervalUnion) -> dict:
-    return {"intervals": [[a, b] for a, b in A.intervals]}
+    return Grid(tuple(pts))
 
 
 def _json_interval_count(obj) -> int:

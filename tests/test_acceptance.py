@@ -110,7 +110,7 @@ def test_criterion_1_classical_remez():
 def test_criterion_2_equioscillation_certificates():
     checked = 0
     for pts, f, exps in small_corpus():
-        grid = Grid(tuple(float(t) for t in pts), normalize([[0.0, 1.0]]), 1.0)
+        grid = Grid(tuple(float(t) for t in pts))
         res = best_uniform_approx(f, grid, exps)
         _check_certificate(res, f, pts, exps)
         checked += 1
@@ -138,7 +138,7 @@ def _check_certificate(res, f, x, exps):
 def test_criterion_3_oracle_equivalence():
     checked = 0
     for pts, f, exps in small_corpus():
-        grid = Grid(tuple(float(t) for t in pts), normalize([[0.0, 1.0]]), 1.0)
+        grid = Grid(tuple(float(t) for t in pts))
         got = best_uniform_approx(f, grid, exps).error
         want = brute_force_minimax(pts, f, exps)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)

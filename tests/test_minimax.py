@@ -254,8 +254,7 @@ def test_matches_brute_force_oracle():
     ]
     for exps, npts in cases:
         pts = np.sort(rng.uniform(0.0, 1.0, npts))
-        grid = Grid(tuple(float(t) for t in pts),
-                    normalize([[0.0, 1.0]]), 1.0)
+        grid = Grid(tuple(float(t) for t in pts))
         for _ in range(3):
             f = rng.standard_normal(npts)
             res = best_uniform_approx(f, grid, exps)
@@ -348,8 +347,8 @@ def test_lp_fallback_certifies_every_corpus_case(monkeypatch):
     # every case the exchange does not certify at once, and its certificate
     # must hold on an exact optimum too (small-corpus case 3, where a trim
     # that dropped adjacent pairs kept a point below the peak of |r|)
-    cases = [(Grid(tuple(float(t) for t in pts), normalize([[0.0, 1.0]]), 1.0),
-              f, exps) for pts, f, exps in small_corpus()] + large_corpus()
+    cases = [(Grid(tuple(float(t) for t in pts)), f, exps)
+             for pts, f, exps in small_corpus()] + large_corpus()
     want = [best_uniform_approx(f, g, exps).error for g, f, exps in cases]
     monkeypatch.setattr(minimax, "MAX_EXCHANGES", 1)
     for (g, f, exps), err in zip(cases, want):
@@ -417,7 +416,7 @@ def test_growth_antitone_in_constraint_set():
     # more constraint points can only shrink the feasible set
     A = normalize([[0.5, 1.0]])
     full = discretize(A, 0.05)
-    sub = Grid(full.points[::2], A, 0.1)
+    sub = Grid(full.points[::2])
     v_sub = growth_functional([0.0, 1.0, 2.0], sub, 0.0).value
     v_full = growth_functional([0.0, 1.0, 2.0], full, 0.0).value
     assert v_full <= v_sub * (1 + 1e-9)
@@ -517,7 +516,7 @@ def test_growth_at_a_grid_point_without_the_constant(y, value):
 def test_growth_at_a_grid_point_of_a_minimal_grid_is_one():
     # [DERIVED] two grid points for two exponents: the other point cannot
     # bound p(y), so the value is 1, attained by p(y) = 1, p = 0 elsewhere
-    g = Grid((0.5, 1.0), normalize([[0.5, 1.0]]), 0.5)
+    g = Grid((0.5, 1.0))
     for y, other in ((0.5, 1.0), (1.0, 0.5)):
         res = growth_functional([2.0, 5.0], g, y)
         assert res.value == 1.0
@@ -529,8 +528,7 @@ def test_growth_at_a_grid_point_of_a_minimal_grid_is_one():
 def test_growth_underdetermined_raises():
     # a grid of fewer points than the dimension is a mesh too coarse for it,
     # in the words of orthonormalize and best_uniform_approx
-    A = normalize([[0.5, 1.0]])
-    tiny = Grid((0.5, 1.0), A, 0.5)
+    tiny = Grid((0.5, 1.0))
     with pytest.raises(ConfigError,
                        match=r"^grid of 2 points too small for dimension 3$"):
         growth_functional([0.0, 1.0, 2.0], tiny, 0.0)
@@ -540,16 +538,14 @@ def test_solvers_never_see_an_unsorted_grid():
     # [DERIVED] each solver assumes sorted points: on these unsorted grids
     # best_uniform_approx returned error 0.8 with a certificate, and
     # growth_sweep 8.0; the sorted grids give 0.4 and 53/3
-    A = normalize([[0.0, 1.0]])
     with pytest.raises(ConfigError, match="strictly increasing"):
-        Grid((0.9, 0.1, 0.5, 0.7, 0.3), A, 0.2)
-    g = Grid((0.1, 0.3, 0.5, 0.7, 0.9), A, 0.2)
+        Grid((0.9, 0.1, 0.5, 0.7, 0.3))
+    g = Grid((0.1, 0.3, 0.5, 0.7, 0.9))
     res = best_uniform_approx(np.abs(2.0 * g.as_array() - 1.0), g, [0.0, 1.0])
     assert res.error == pytest.approx(0.4, rel=1e-12)
-    A = normalize([[0.5, 1.0]])
     with pytest.raises(ConfigError, match="strictly increasing"):
-        Grid((1.0, 0.5, 0.7, 0.9), A, 0.2)
-    g = Grid((0.5, 0.7, 0.9, 1.0), A, 0.2)
+        Grid((1.0, 0.5, 0.7, 0.9))
+    g = Grid((0.5, 0.7, 0.9, 1.0))
     value = growth_sweep([0.0, 1.0, 2.0], g, [0.0])[0].value
     assert value == pytest.approx(53.0 / 3.0, rel=1e-12)
 
@@ -818,9 +814,10 @@ def test_growth_sweep_solves_no_lp(monkeypatch):
                          EVERY_ROUTE_QUERIES)
     assert sweep[1].value == pytest.approx(299.6131910585781, rel=1e-12)
     # fat_cantor(2, (0.5, 1)) has three gaps, and a query in each
-    g = discretize(fat_cantor(2, (0.5, 1.0)), 1e-3)
+    A = fat_cantor(2, (0.5, 1.0))
+    g = discretize(A, 1e-3)
     ys = [0.0, 0.5, 0.6, 0.62, 0.75, 0.85, 0.9, 1.0]
-    assert [y for y in ys if not g.parent.contains(y)] == [0.0, 0.6, 0.75, 0.9]
+    assert [y for y in ys if not A.contains(y)] == [0.0, 0.6, 0.75, 0.9]
     for r in growth_sweep(truncate(arithmetic(1.0), 6), g, ys):
         assert r.value >= 1.0
         assert abs(r.extremal(r.query)) == pytest.approx(r.value, rel=1e-9)

@@ -19,7 +19,6 @@ from muntzlab.products import (
     inequality_chain_report,
     monomial_in_H4,
     product_approx_search,
-    superlevel_measure,
     verify_product_remez,
 )
 from muntzlab.sets import discretize, normalize
@@ -53,56 +52,6 @@ def test_eval_product_is_the_product_of_the_factors():
     x = np.linspace(0.0, 1.0, 257)
     assert eval_product(P, x).tobytes() == loop(x).tobytes()
     assert P(0.5) == float(loop(np.array([0.5]))[0])
-
-
-def test_superlevel_measure_simple():
-    # p = x on [0, 1]: {x in [y,1] : x > y / alpha}
-    p = MuntzPolynomial((1.0,), (1.0,))
-    # y = 0: superlevel set is (0, 1], measure 1
-    assert superlevel_measure(p, 0.0, 1.0, 1e-3) == pytest.approx(1.0, abs=1e-2)
-    # y = 0.5, alpha = 1: {x > 0.5} within [0.5, 1], measure 0.5
-    assert superlevel_measure(p, 0.5, 1.0, 1e-3) == pytest.approx(0.5, abs=1e-2)
-    # y = 0.5, alpha = 2/3: {x > 0.75} within [0.5, 1], measure 0.25
-    assert superlevel_measure(p, 0.5, 2 / 3, 1e-3) == pytest.approx(0.25, abs=1e-2)
-
-
-def test_superlevel_measure_validation():
-    p = MuntzPolynomial((1.0,), (1.0,))
-    with pytest.raises(ConfigError):
-        superlevel_measure(p, 1.0, 1.0, 1e-2)
-    for alpha in (0.0, -1.0, math.nan):
-        with pytest.raises(ConfigError, match="alpha must be positive"):
-            superlevel_measure(p, 0.5, alpha, 1e-2)
-
-
-def test_superlevel_monotone_in_alpha():
-    p = MuntzPolynomial((0.0, 1.0, 4.0), (0.3, -1.2, 2.0))
-    prev = None
-    for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-        m = superlevel_measure(p, 0.2, alpha, 1e-3)
-        if prev is not None:
-            assert m >= prev - 1e-12
-        prev = m
-        assert 0.0 <= m <= 0.8 + 1e-2
-
-
-def test_superlevel_measure_counts_the_chain_at_alpha():
-    # the chain's comparison |p| > |p(y)| / alpha, at alpha itself: this
-    # alpha does not round-trip through its reciprocal, and one cell of
-    # p = 1 - x lies between the thresholds at alpha and at 1 / (1 / alpha)
-    p = MuntzPolynomial((0.0, 1.0), (1.0, -1.0))
-    alpha = 1.8518518518518519
-    back = 1.0 / (1.0 / alpha)
-    assert back == 1.8518518518518516
-    mids, w = products._cells(0.25, 1e-2)
-    pv, py = np.abs(p(mids)), abs(float(p(0.25)))
-
-    def chain(a):
-        return w * int(np.count_nonzero(pv > py / a))
-
-    got = superlevel_measure(p, 0.25, alpha, 1e-2)
-    assert got == chain(alpha)
-    assert got == pytest.approx(chain(back) + w)
 
 
 def test_draw_alpha_samples_deterministic():
@@ -180,12 +129,6 @@ def test_criterion_6_alphas_are_the_smallest(j):
     assert est.alpha == 17090.79100928129
     samples = draw_alpha_samples(squares(), 6, 0.25, 25, 42, 1e-3, j=j)
     assert_smallest_alpha(est, samples, 1e-3)
-    # superlevel_measure at alpha counts the cells the chain counts, so
-    # every sample reaches its target there too
-    for y in products.alpha_y_grid(0.25):
-        for p in samples:
-            assert superlevel_measure(p, y, est.alpha, 1e-3) >= (
-                1.0 - y - 0.25 / 4 - 1e-12)
 
 
 def test_needed_alpha_is_exact_or_refused():
