@@ -6,10 +6,10 @@ Two solvers share one orthonormalization front end:
   equioscillation certificate (alternating reference points plus a
   de-la-Vallee-Poussin lower bound).
 * growth_functional   - the extremal growth
-  sup { |p(y)| : |p| <= 1 on the constraint grid }: 1 at a grid point
-  when 0 is an exponent; otherwise one exchange per sign pattern of the
-  extremal on the grid (_growth_lp), which finishes in 60 digits for
-  every query inside the constraint hull.
+  sup { |p(y)| : |p| <= 1 on the constraint grid } of a span with
+  exponent 0: 1 at a grid point; otherwise one exchange per sign pattern
+  of the extremal on the grid (_growth_lp), which finishes in 60 digits
+  for every query inside the constraint hull.
 
 The discrete minimax LP (min over b of max |f - Q b|, on which the
 exchange falls back and which the product search solves) is answered by
@@ -51,7 +51,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from muntzlab.errors import ConditioningError, ConfigError, ConvergenceError
-from muntzlab.muntzeval import MuntzPolynomial, basis_matrix
+from muntzlab.muntzeval import MuntzPolynomial, basis_matrix, check_exponents
 from muntzlab.sets import Grid
 
 DEFAULT_TOL = 1e-8
@@ -233,9 +233,9 @@ def best_uniform_approx(
     from the LP residual; ConvergenceError is raised if that certificate
     lacks dimension+1 alternating points or its relative gap exceeds tol.
     """
+    exps = check_exponents(exponents)
     x = grid.as_array()
     f = np.asarray(f_values, dtype=float)
-    exps = tuple(float(e) for e in exponents)
     m = len(exps)
     if f.shape != x.shape:
         raise ConfigError("target samples must match the grid")
@@ -444,26 +444,27 @@ def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, exact: bool, fini
 
 
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
-    """growth_functional over many query points.
+    """growth_functional over many query points.  Growth is defined on
+    spans that contain the constant, as the Muntz spaces
+    0 = lambda_0 < lambda_1 < ... do: exponents without 0 are a
+    ConfigError, raised before any basis is built.
 
-    A grid point has value 1, attained by the constant, when 0 is an
-    exponent.  Other queries are grouped by the sign pattern of their
-    extremal, and one _growth_lp answers each group: in double outside the
-    constraint hull (60 digits only on a failure or a value beyond
-    MP_VALUE_THRESHOLD), in 60 digits inside it, on decimal grid rows built
-    once per sweep.  The query points join the grid rows in one QR, so a
-    query value is a plain row of Q.  A grid point y without the constant
-    has the value min(1, G) and the extremal p_G / max(1, G), from the
-    group answer G, p_G on the grid without y; 1 if that grid has fewer
-    points than the dimension, as it cannot bound p(y) then.  A constraint
-    grid of fewer points than the dimension is a mesh too coarse for it:
-    ConfigError.
+    A grid point has value 1, attained by the constant.  Other queries are
+    grouped by the sign pattern of their extremal, and one _growth_lp
+    answers each group: in double outside the constraint hull (60 digits
+    only on a failure or a value beyond MP_VALUE_THRESHOLD), in 60 digits
+    inside it, on decimal grid rows built once per sweep.  The query points
+    join the grid rows in one QR, so a query value is a plain row of Q.  A
+    constraint grid of fewer points than the dimension is a mesh too
+    coarse for it: ConfigError.
 
     An extremal's active points, where |p| >= 1 - 1e-7 on the grid, are
     read off the values that certified it (in 60 digits on the exact
     route), not off its rounded coefficients, which cancel by more.
     """
-    exps = tuple(float(e) for e in exponents)
+    exps = check_exponents(exponents)
+    if exps[0] != 0.0:
+        raise ConfigError("growth needs exponent 0 (the constant) in the span")
     x = constraint.as_array()
     ys = [float(y) for y in queries]
     if any(not 0.0 <= y <= 1.0 for y in ys):
@@ -472,49 +473,36 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     if N < m:
         raise ConfigError(f"grid of {N} points too small for dimension {m}")
     points = np.concatenate([x, np.asarray(ys)])
-    V = basis_matrix(points, exps)
-    Qall, R = orthonormalize(V)
+    Qall, R = orthonormalize(basis_matrix(points, exps))
+    Q = Qall[:N]
     decimal_rows = functools.cache(lambda: _decimal_rows(points, exps))
 
     def extremal(coeffs, active):
         p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
         return p, tuple(x[active].tolist())
 
-    # a group is keyed by (skip, split): the grid point left out (or None)
-    # and the number of remaining grid points below y, where t turns from
-    # +1 to -1 (all of them when none lies above, or none below)
+    # a group is keyed by its split: the number of grid points below y,
+    # where t turns from +1 to -1 (all of them when none lies above, or
+    # none below)
     answers, groups = [None] * len(ys), {}
     for i, (y, k) in enumerate(zip(ys, np.searchsorted(x, ys).tolist())):
-        on_grid = k < N and x[k] == y
-        if on_grid and 0.0 in exps:
-            answers[i] = (1.0, extremal([float(e == 0.0) for e in exps],
+        if k < N and x[k] == y:
+            answers[i] = (1.0, extremal([1.0] + [0.0] * (m - 1),
                                         np.ones(N, dtype=bool)))
-            continue
-        skip = k if on_grid else None
-        groups.setdefault((skip, k or N - (skip is not None)), []).append(i)
-
-    for (skip, split), group in groups.items():
-        keep = np.arange(N) if skip is None else np.delete(np.arange(N), skip)
-        if len(keep) < m:
-            values = [1.0] * len(group)
-            coeffs = np.linalg.solve(V[:N], np.eye(N)[skip])  # 1 at y only
-            peaks = np.zeros(len(keep))
         else:
-            def finish(t, start):
-                rows = decimal_rows()
-                return _set_chebyshev_mp(rows[keep], rows[N + np.array(group)],
-                                         t, start)
+            groups.setdefault(k or N, []).append(i)
 
-            Q = Qall[:N] if skip is None else Qall[keep]
-            t = np.where(np.arange(len(keep)) < split, 1.0, -1.0)
-            values, coeffs, peaks = _growth_lp(Q, R, Qall[N:][group], t,
-                                               (skip, split) != (None, N), finish)
-        scale = 1.0
-        if skip is not None:  # y itself bounds p(y) by 1
-            peaks, scale = np.insert(peaks, skip, values[0]), max(1.0, values[0])
-            values = [min(1.0, v) for v in values]
-        level = (1.0 - 1e-7) * scale  # |p| >= 1 - 1e-7 once divided by scale
-        p = extremal(np.divide(coeffs, scale),
+    level = 1.0 - 1e-7
+    for split, group in groups.items():
+        def finish(t, start):
+            rows = decimal_rows()
+            return _set_chebyshev_mp(rows[:N], rows[N + np.array(group)], t,
+                                     start)
+
+        t = np.where(np.arange(N) < split, 1.0, -1.0)
+        values, coeffs, peaks = _growth_lp(Q, R, Qall[N:][group], t,
+                                           split != N, finish)
+        p = extremal(coeffs,
                      peaks >= (Decimal(level) if peaks.dtype == object else level))
         for i, v in zip(group, values):
             answers[i] = (v, p)

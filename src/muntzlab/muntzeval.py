@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from muntzlab.errors import ConfigError
+from muntzlab.errors import ConfigError, finite_number
 
 
 @dataclass(frozen=True)
 class MuntzPolynomial:
-    """p(x) = sum_i coefficients[i] * x^exponents[i], exponents strictly
-    increasing and >= 0."""
+    """p(x) = sum_i coefficients[i] * x^exponents[i], exponents as
+    check_exponents asks and coefficients finite."""
 
     exponents: tuple[float, ...]
     coefficients: tuple[float, ...]
@@ -21,15 +21,25 @@ class MuntzPolynomial:
     def __post_init__(self):
         if len(self.exponents) != len(self.coefficients):
             raise ConfigError("exponents and coefficients must match in length")
-        if not self.exponents:
-            raise ConfigError("need at least one term")
-        if not self.exponents[0] >= 0:  # NaN too
-            raise ConfigError("exponents must be >= 0")
-        if not all(a < b for a, b in zip(self.exponents, self.exponents[1:])):
-            raise ConfigError("exponents must be strictly increasing")
+        check_exponents(self.exponents)
+        for c in self.coefficients:
+            finite_number(c, "coefficient")
 
     def __call__(self, x):
         return evaluate(self, x)
+
+
+def check_exponents(exponents) -> tuple[float, ...]:
+    """The exponents as floats: at least one, the first >= 0, strictly
+    increasing and finite, or ConfigError."""
+    exps = tuple(exponents)
+    if not exps:
+        raise ConfigError("need at least one term")
+    if not exps[0] >= 0:  # NaN too
+        raise ConfigError("exponents must be >= 0")
+    if not all(a < b for a, b in zip(exps, exps[1:])):  # NaN too
+        raise ConfigError("exponents must be strictly increasing")
+    return tuple(finite_number(e, "exponent") for e in exps)
 
 
 def basis_matrix(x, exponents) -> np.ndarray:

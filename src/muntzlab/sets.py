@@ -34,9 +34,6 @@ class IntervalUnion:
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
-        return any(a - tol <= x <= b + tol for a, b in self.intervals)
-
     def lo(self) -> float:
         if not self.intervals:
             raise ConfigError("empty union has no lower endpoint")

@@ -495,34 +495,33 @@ def test_growth_at_a_grid_point_solves_no_lp(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("y, value", [
-    (0.5, 0.762448358339), (0.65, 0.995950274516), (1.0, 1.0)])
-def test_growth_at_a_grid_point_without_the_constant(y, value):
-    # [DERIVED] without exponent 0 the value at a grid point y is min(1, G),
-    # G the growth at y on the grid without y; the values are those of the
-    # growth LP this replaced
+def test_growth_without_exponent_0_is_config_error(monkeypatch):
+    # growth is defined on spans that contain the constant; the refusal
+    # comes before any basis is built, on the grid and off it
+    calls = []
+    monkeypatch.setattr(minimax, "basis_matrix",
+                        lambda *args: calls.append(1) or basis_matrix(*args))
     g = discretize(normalize([[0.5, 1.0]]), 0.05)
-    res = growth_functional([2.0, 5.0], g, y)
-    assert res.value == pytest.approx(value, rel=1e-9)
-    assert abs(res.extremal(y)) == pytest.approx(res.value, rel=1e-9)
-    assert np.max(np.abs(res.extremal(g.as_array()))) <= 1.0 + 1e-9
-    # the 60-digit values give the points that the double extremal attains
-    assert res.constraint_active_points == tuple(
-        p for p in g.points if abs(res.extremal(p)) >= 1.0 - 1e-7)
-    if value == 1.0:
-        assert res.value == 1.0  # G > 1: the extremal is p_G / G
+    for y in (0.5, 0.3):
+        with pytest.raises(ConfigError, match="exponent 0"):
+            growth_functional([2.0, 5.0], g, y)
+    assert calls == []
 
 
-def test_growth_at_a_grid_point_of_a_minimal_grid_is_one():
-    # [DERIVED] two grid points for two exponents: the other point cannot
-    # bound p(y), so the value is 1, attained by p(y) = 1, p = 0 elsewhere
-    g = Grid((0.5, 1.0))
-    for y, other in ((0.5, 1.0), (1.0, 0.5)):
-        res = growth_functional([2.0, 5.0], g, y)
-        assert res.value == 1.0
-        assert res.extremal(y) == pytest.approx(1.0, rel=1e-12)
-        assert res.extremal(other) == pytest.approx(0.0, abs=1e-12)
-        assert res.constraint_active_points == (y,)
+@pytest.mark.parametrize("exps, message", [
+    ([0.0, math.inf], "finite"), ([0.0, math.nan], "strictly increasing"),
+    ([0.0, -1.0], "strictly increasing"), ([], "at least one term")])
+def test_both_solvers_refuse_bad_exponents_before_any_solve(monkeypatch, exps,
+                                                            message):
+    calls = []
+    monkeypatch.setattr(minimax, "basis_matrix",
+                        lambda *args: calls.append(1) or basis_matrix(*args))
+    g = discretize(normalize([[0.0, 1.0]]), 0.05)
+    with pytest.raises(ConfigError, match=message):
+        growth_sweep(exps, g, [0.5, 0.525])
+    with pytest.raises(ConfigError, match=message):
+        best_uniform_approx(np.sqrt(g.as_array()), g, exps)
+    assert calls == []
 
 
 def test_growth_underdetermined_raises():
@@ -817,7 +816,8 @@ def test_growth_sweep_solves_no_lp(monkeypatch):
     A = fat_cantor(2, (0.5, 1.0))
     g = discretize(A, 1e-3)
     ys = [0.0, 0.5, 0.6, 0.62, 0.75, 0.85, 0.9, 1.0]
-    assert [y for y in ys if not A.contains(y)] == [0.0, 0.6, 0.75, 0.9]
+    assert [y for y in ys if not any(a <= y <= b for a, b in A.intervals)] == [
+        0.0, 0.6, 0.75, 0.9]
     for r in growth_sweep(truncate(arithmetic(1.0), 6), g, ys):
         assert r.value >= 1.0
         assert abs(r.extremal(r.query)) == pytest.approx(r.value, rel=1e-9)

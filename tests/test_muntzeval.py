@@ -34,6 +34,12 @@ def test_polynomial_validation():
         MuntzPolynomial((math.nan, 1.0), (1.0, 1.0))
     with pytest.raises(ConfigError, match="strictly increasing"):
         MuntzPolynomial((0.0, math.nan), (1.0, 1.0))
+    with pytest.raises(ConfigError, match="exponent must be finite"):
+        MuntzPolynomial((0.0, math.inf), (1.0, 1.0))
+    with pytest.raises(ConfigError, match="coefficient must be finite"):
+        MuntzPolynomial((0.0, 1.0), (math.nan, 1.0))
+    with pytest.raises(ConfigError, match="coefficient must be finite"):
+        MuntzPolynomial((0.0, 1.0), (1.0, -math.inf))
 
 
 def test_polynomial_evaluation():

@@ -58,9 +58,9 @@ def test_normalize_canonical_and_subadditive(raw):
     assert normalize(A.intervals).intervals == A.intervals
     # measure never exceeds the raw total length
     assert A.measure() <= sum(b - a for a, b in raw) + 1e-12
-    # every raw endpoint is contained
+    # every raw interval lies in one interval of the union
     for a, b in raw:
-        assert A.contains(a) and A.contains(b)
+        assert any(lo <= a and b <= hi for lo, hi in A.intervals)
 
 
 @given(intervals_strategy(), intervals_strategy())
@@ -163,7 +163,7 @@ def test_discretize_points_lie_in_parent(raw, mesh):
     A = normalize(raw)
     g = discretize(A, mesh)
     for p in g.points:
-        assert A.contains(p)
+        assert any(a <= p <= b for a, b in A.intervals)
     assert len(g) >= len(A.intervals)
 
 
