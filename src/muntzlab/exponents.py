@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from muntzlab.errors import ConfigError, finite_number
+from muntzlab.muntzeval import check_exponents
 
 
 @dataclass(frozen=True)
@@ -16,7 +17,6 @@ class ExponentSequence:
     kind: str  # "arithmetic" | "squares" | "explicit"
     step: float | None = None
     values: tuple[float, ...] | None = None
-    description: str = ""
 
     def __post_init__(self):
         if self.kind == "arithmetic":
@@ -27,11 +27,9 @@ class ExponentSequence:
         elif self.kind == "explicit":
             if not self.values:
                 raise ConfigError("explicit sequence needs a non-empty list")
-            vals = tuple(finite_number(v, "exponent") for v in self.values)
+            vals = check_exponents(self.values)
             if vals[0] != 0.0:
                 raise ConfigError("first exponent must be exactly 0")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ConfigError("exponents must be strictly increasing")
             object.__setattr__(self, "values", vals)
         else:
             raise ConfigError(f"unknown sequence kind {self.kind!r}")
@@ -51,24 +49,22 @@ class ExponentSequence:
         return self.values[i]
 
 
-def arithmetic(step: float, description: str = "") -> ExponentSequence:
+def arithmetic(step: float) -> ExponentSequence:
     return ExponentSequence("arithmetic",
-                            step=finite_number(step, "arithmetic step"),
-                            description=description or f"arithmetic({step})")
+                            step=finite_number(step, "arithmetic step"))
 
 
-def squares(description: str = "") -> ExponentSequence:
-    return ExponentSequence("squares", description=description or "squares")
+def squares() -> ExponentSequence:
+    return ExponentSequence("squares")
 
 
-def explicit(values, description: str = "") -> ExponentSequence:
+def explicit(values) -> ExponentSequence:
     try:
         values = tuple(values)
     except TypeError:
         raise ConfigError(
             f"explicit exponents must be a list, not {values!r}") from None
-    return ExponentSequence("explicit", values=values,
-                            description=description or "explicit")
+    return ExponentSequence("explicit", values=values)
 
 
 def truncate(seq: ExponentSequence, n: int) -> list[float]:
@@ -80,18 +76,17 @@ def truncate(seq: ExponentSequence, n: int) -> list[float]:
 
 def sequence_from_json(obj: dict) -> ExponentSequence:
     """Parse {"kind": "squares" | {"arithmetic": a} | {"explicit": [..]},
-    "label": "..."}."""
+    "label": "..."}; the label is accepted and names nothing here."""
     if not isinstance(obj, dict):
         raise ConfigError("sequence descriptor must be an object")
     unknown = set(obj) - {"kind", "label"}
     if unknown:
         raise ConfigError(f"unknown sequence fields: {sorted(unknown)}")
     kind = obj.get("kind")
-    label = obj.get("label", "")
     if kind == "squares":
-        return squares(label)
+        return squares()
     if isinstance(kind, dict) and set(kind) == {"arithmetic"}:
-        return arithmetic(kind["arithmetic"], label)
+        return arithmetic(kind["arithmetic"])
     if isinstance(kind, dict) and set(kind) == {"explicit"}:
-        return explicit(kind["explicit"], label)
+        return explicit(kind["explicit"])
     raise ConfigError(f"unrecognized sequence kind: {kind!r}")

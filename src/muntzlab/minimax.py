@@ -75,7 +75,6 @@ class GrowthResult:
     value: float
     extremal: MuntzPolynomial
     query: float
-    constraint_active_points: tuple[float, ...]
 
 
 def chebyshev_T(n: int, x: float) -> float:
@@ -397,9 +396,8 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
 
     The exchange starts from the reference `start` (the one the double
     exchange stopped on), or by default from an even spread.  Returns
-    (values at queries, extremal coefficients, peaks), peaks the
-    extremal's |values| at the grid rows, in 60 digits from the certifying
-    step; ConvergenceError when the exchange stops without a certificate.
+    (values at queries, extremal coefficients); ConvergenceError when the
+    exchange stops without a certificate.
     """
     with localcontext(Context(prec=MP_DIGITS)):
         bound = 1 + Decimal(SET_CHEBYSHEV_MP_TOL)
@@ -410,16 +408,15 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
             vals = rows.dot(a)
             M = np.abs(vals).max()
             r = None if M <= bound else vals.astype(float) * t  # None: done
-            return r, float(M), r is None, (a, vals, M)
+            return r, float(M), r is None, (a, M)
 
-        _, (a, vals, M), failure = _exchange(len(rows), rows.shape[1], solve,
-                                             "M", start=start)
+        _, (a, M), failure = _exchange(len(rows), rows.shape[1], solve, "M",
+                                       start=start)
         if failure is not None:
             raise ConvergenceError(f"set-Chebyshev (mp) {failure}")
         values = [float(abs(v) / M) for v in qrows.dot(a)]
         coeffs = [float(aj / M) for aj in a]
-        peaks = np.abs(vals) / M
-    return values, coeffs, peaks
+    return values, coeffs
 
 
 def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, exact: bool, finish):
@@ -432,15 +429,14 @@ def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, exact: bool, fini
     +1 below y, -1 above it inside.  After _set_chebyshev(Q, t),
     finish(t, start), the 60-digit exchange from its reference, answers
     when `exact` or when the double exchange fails or a value exceeds
-    MP_VALUE_THRESHOLD.  Returns (values, coefficients, peaks) on either
-    route: the double answer b is mapped back through R, V = Q R, and its
-    peaks are |Q b|; the 60-digit peaks are Decimal.
+    MP_VALUE_THRESHOLD.  Returns (values, coefficients) on either route:
+    the double answer b is mapped back through R, V = Q R.
     """
     b, ref, failure = _set_chebyshev(Q, t)
     values = [abs(float(row @ b)) for row in q]
     if exact or failure is not None or max(values) > MP_VALUE_THRESHOLD:
         return finish(t, ref)
-    return values, np.linalg.solve(R, b), np.abs(Q @ b)
+    return values, np.linalg.solve(R, b)
 
 
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
@@ -457,10 +453,6 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     join the grid rows in one QR, so a query value is a plain row of Q.  A
     constraint grid of fewer points than the dimension is a mesh too
     coarse for it: ConfigError.
-
-    An extremal's active points, where |p| >= 1 - 1e-7 on the grid, are
-    read off the values that certified it (in 60 digits on the exact
-    route), not off its rounded coefficients, which cancel by more.
     """
     exps = check_exponents(exponents)
     if exps[0] != 0.0:
@@ -477,9 +469,8 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     Q = Qall[:N]
     decimal_rows = functools.cache(lambda: _decimal_rows(points, exps))
 
-    def extremal(coeffs, active):
-        p = MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
-        return p, tuple(x[active].tolist())
+    def extremal(coeffs):
+        return MuntzPolynomial(exps, tuple(float(c) for c in coeffs))
 
     # a group is keyed by its split: the number of grid points below y,
     # where t turns from +1 to -1 (all of them when none lies above, or
@@ -487,12 +478,10 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
     answers, groups = [None] * len(ys), {}
     for i, (y, k) in enumerate(zip(ys, np.searchsorted(x, ys).tolist())):
         if k < N and x[k] == y:
-            answers[i] = (1.0, extremal([1.0] + [0.0] * (m - 1),
-                                        np.ones(N, dtype=bool)))
+            answers[i] = (1.0, extremal([1.0] + [0.0] * (m - 1)))
         else:
             groups.setdefault(k or N, []).append(i)
 
-    level = 1.0 - 1e-7
     for split, group in groups.items():
         def finish(t, start):
             rows = decimal_rows()
@@ -500,14 +489,12 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
                                      start)
 
         t = np.where(np.arange(N) < split, 1.0, -1.0)
-        values, coeffs, peaks = _growth_lp(Q, R, Qall[N:][group], t,
-                                           split != N, finish)
-        p = extremal(coeffs,
-                     peaks >= (Decimal(level) if peaks.dtype == object else level))
+        values, coeffs = _growth_lp(Q, R, Qall[N:][group], t, split != N,
+                                    finish)
+        p = extremal(coeffs)
         for i, v in zip(group, values):
             answers[i] = (v, p)
-    return [GrowthResult(v, p, y, active)
-            for y, (v, (p, active)) in zip(ys, answers)]
+    return [GrowthResult(v, p, y) for y, (v, p) in zip(ys, answers)]
 
 
 MINIMAX_CERT_RTOL = 1e-12  # max |r| over the dual bound h that certifies

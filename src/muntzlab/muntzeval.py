@@ -30,16 +30,20 @@ class MuntzPolynomial:
 
 
 def check_exponents(exponents) -> tuple[float, ...]:
-    """The exponents as floats: at least one, the first >= 0, strictly
-    increasing and finite, or ConfigError."""
+    """The exponents as floats: at least one, each a finite number, the
+    first >= 0 and strictly increasing, or ConfigError.  The types come
+    first ('0' >= 0 is a TypeError); a NaN is left to the order tests,
+    whose messages name it."""
     exps = tuple(exponents)
     if not exps:
         raise ConfigError("need at least one term")
+    exps = tuple(e if e != e else finite_number(e, "exponent")  # e != e: NaN
+                 for e in exps)
     if not exps[0] >= 0:  # NaN too
         raise ConfigError("exponents must be >= 0")
     if not all(a < b for a, b in zip(exps, exps[1:])):  # NaN too
         raise ConfigError("exponents must be strictly increasing")
-    return tuple(finite_number(e, "exponent") for e in exps)
+    return exps
 
 
 def basis_matrix(x, exponents) -> np.ndarray:

@@ -61,7 +61,6 @@ class ProductCheckReport:
 
 @dataclass(frozen=True)
 class ChainReport:
-    products: int
     checks: int
     measure_violations: int
     norm_violations: int
@@ -78,7 +77,6 @@ class MonomialWitness:
 class SearchReport:
     best_error_by_round: tuple[float, ...]
     best: ProductPolynomial
-    restarts: int
 
 
 def eval_product(P: ProductPolynomial, x):
@@ -325,8 +323,8 @@ def inequality_chain_report(
             checks += 1
             if pq > c * pa * (1.0 + 1e-9):
                 norm_bad += 1
-    return ChainReport(products=n_products, checks=checks,
-                       measure_violations=measure_bad, norm_violations=norm_bad)
+    return ChainReport(checks=checks, measure_violations=measure_bad,
+                       norm_violations=norm_bad)
 
 
 def four_squares(n: int) -> tuple[int, int, int, int]:
@@ -462,4 +460,4 @@ def product_approx_search(
         for seq, c in zip(spec.sequences, best_coeffs)
     )
     return SearchReport(best_error_by_round=tuple(best_by_round),
-                        best=ProductPolynomial(factors), restarts=restarts)
+                        best=ProductPolynomial(factors))

@@ -24,22 +24,17 @@ DENSITY_TOL = 1e-10  # relative certificate gap of each best approximation
 
 @dataclass(frozen=True)
 class RemezConstantEstimate:
-    sequence: ExponentSequence
     n: int
     s: float
     rho: float
-    set_family: tuple[IntervalUnion, ...]
     c_value: float
     attaining_query: float
-    attaining_set: int  # index into set_family
+    attaining_set: int  # index into the set family
     mesh: float
 
 
 @dataclass(frozen=True)
 class DensityProbeResult:
-    target: str
-    sequence: ExponentSequence
-    set: IntervalUnion
     errors_by_n: tuple[tuple[int, float], ...]
 
 
@@ -119,9 +114,8 @@ def remez_constant_estimate(
             if res.value > best[0]:
                 best = (res.value, res.query, idx)
     return RemezConstantEstimate(
-        sequence=seq, n=n, s=s, rho=rho, set_family=family,
-        c_value=best[0], attaining_query=best[1], attaining_set=best[2],
-        mesh=mesh,
+        n=n, s=s, rho=rho, c_value=best[0], attaining_query=best[1],
+        attaining_set=best[2], mesh=mesh,
     )
 
 
@@ -179,7 +173,6 @@ def density_probe(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-    name = target if isinstance(target, str) else getattr(target, "__name__", "custom")
     fn = named_target(target) if isinstance(target, str) else target
     # Measure-zero components are irrelevant to the density question, so
     # degenerate singletons are dropped before discretizing.
@@ -194,6 +187,4 @@ def density_probe(
             f, grid, truncate(seq, n), tol=DENSITY_TOL
         )
         errors.append((int(n), res.error))
-    return DensityProbeResult(
-        target=name, sequence=seq, set=A, errors_by_n=tuple(errors)
-    )
+    return DensityProbeResult(errors_by_n=tuple(errors))

@@ -41,17 +41,18 @@ def test_explicit_out_of_range_index():
         seq.exponent(2)
 
 
-@pytest.mark.parametrize(
-    "seq",
-    [arithmetic(0.5, "half-steps"), squares("sq"), explicit([0, 1, 4.5], "e")],
-)
+SEQUENCES = [arithmetic(0.5), squares(), explicit([0, 1, 4.5])]
+# the literal descriptor that parses to each of SEQUENCES, in its position
+DESCRIPTORS = [
+    {"kind": {"arithmetic": 0.5}, "label": "half-steps"},
+    {"kind": "squares", "label": "sq"},
+    {"kind": {"explicit": [0, 1, 4.5]}},
+]
+
+
+@pytest.mark.parametrize("seq", SEQUENCES)
 def test_json_roundtrip(seq):
-    # the literal descriptor that parses to each sequence, keyed by its label
-    descriptor = {
-        "half-steps": {"kind": {"arithmetic": 0.5}, "label": "half-steps"},
-        "sq": {"kind": "squares", "label": "sq"},
-        "e": {"kind": {"explicit": [0, 1, 4.5]}, "label": "e"},
-    }[seq.description]
+    descriptor = DESCRIPTORS[SEQUENCES.index(seq)]
     assert sequence_from_json(descriptor) == seq
 
 
