@@ -535,7 +535,7 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
     if start is None or len(start) != k + 1 or max(start) >= N:
         start = _even_spread(N, k + 1)
     ref = [int(i) for i in start]
-    if len(set(ref)) != k + 1 or not np.isfinite(f).all():
+    if len(set(ref)) != k + 1:
         return None
     resigned, h_last = False, 0.0
     # what every step fills in place: [Q_ref | s] and (f_ref, I), whose
@@ -593,8 +593,10 @@ def _minimax_exchange(Q: np.ndarray, f: np.ndarray, start=None):
     Rows can share the level to rounding (coordinate descent makes them),
     and then several references are optimal.  So b is that of a second
     exchange on the rows within NEAR_LEVEL_RTOL of the level, from their
-    even spread: a function of the data alone, not of `start`.  It is
-    checked on every row: max |f - Q b| <= h (1 + MINIMAX_CERT_RTOL).
+    even spread, whatever `start` was, so that two starts that both
+    certify give the same b (on every LP of the product searches tried).
+    A start still decides whether the first exchange certifies at all.
+    b is checked on every row: max |f - Q b| <= h (1 + MINIMAX_CERT_RTOL).
     """
     answer = _stiefel(Q, f, start)
     if answer is None:
@@ -614,47 +616,42 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     """min over c of max_i |f_i - (B c)_i| for an arbitrary basis matrix B
     (no Chebyshev-system assumption).
 
-    Numerically dependent columns are projected out via column-pivoted QR,
-    as are the columns past N of a basis wider than its N grid points;
-    their coefficients come back as 0.  In the QR coordinates Q b, Stiefel's
-    exchange (_minimax_exchange) answers from the reference `start`, or
-    from an even spread; when it fails, scipy's linprog answers the dense
-    LP in (b, t) by HiGHS dual simplex, presolve off.  Returns (coeffs,
-    err, ref): err is the residual max |f - Q b| of the point b returned,
-    not a level, and ref the sorted optimal reference of the exchange (a
-    `start` for a similar problem), or None when HiGHS answered.  Data that
-    is not finite, or an LP that HiGHS does not solve to optimality, raises
-    ConvergenceError.
+    Data that is not finite raises ConvergenceError before any
+    factorization, and a grid of no points ConfigError.  B is factored by
+    numpy's QR, or, when B is wider than its N grid points or fails the
+    RANK_TOL test, by one column-pivoted QR, whose leading columns that
+    pass the test are kept with that QR's own factors; the other columns,
+    zero ones among them, get the coefficient 0.  With no column kept, the
+    exchange answers the empty basis on one row: err = max |f|.  In the QR
+    coordinates Q b, Stiefel's exchange (_minimax_exchange) answers from
+    the reference `start`, or from an even spread; when it fails, scipy's
+    linprog answers the dense LP in (b, t) by HiGHS dual simplex, presolve
+    off, and an LP that HiGHS does not solve to optimality raises
+    ConvergenceError.  Returns (coeffs, err, ref): err is the residual
+    max |f - Q b| of the point b returned, not a level, and ref the sorted
+    optimal reference of the exchange (a `start` for a similar problem),
+    or None when HiGHS answered.
     """
     N, m = B.shape
-    col_scale = np.max(np.abs(B), axis=0)
-    keep = np.flatnonzero(col_scale > 0)
-    if keep.size == 0:
-        # basis vanishes identically: best approximant is 0
-        return np.zeros(m), float(np.max(np.abs(f))) if f.size else 0.0, None
-    Bk = B[:, keep]
-    Q, R = np.linalg.qr(Bk)
+    if not N:
+        raise ConfigError("minimax LP on a grid of 0 points")
+    if not (np.isfinite(B).all() and np.isfinite(f).all()):
+        raise ConvergenceError("minimax LP failed: LP data not finite")
+    Q, R = np.linalg.qr(B)
+    keep = np.arange(m)
     d = np.abs(np.diag(R))
-    rank_ok = d > RANK_TOL * d.max()
-    if len(d) < keep.size or not rank_ok.all():
-        # a basis wider than its grid, or numerically dependent columns:
-        # fall back to a well-conditioned column subset
-        from scipy.linalg import qr as sqr
+    if len(d) < m or (d <= RANK_TOL * d.max(initial=0.0)).any():
+        from scipy.linalg import qr
 
-        Qp, Rp, piv = sqr(Bk, mode="economic", pivoting=True)
-        dd = np.abs(np.diag(Rp))
-        r = int(np.sum(dd > RANK_TOL * dd.max()))
-        keep = keep[piv[:r]]
-        Bk = B[:, keep]
-        Q, R = np.linalg.qr(Bk)
+        Q, R, piv = qr(B, mode="economic", pivoting=True)
+        d = np.abs(np.diag(R))
+        k = int(np.sum(d > RANK_TOL * d.max()))
+        Q, R, keep = Q[:, :k], R[:k, :k], piv[:k]
     k = Q.shape[1]
     answer = _minimax_exchange(Q, f, start)
     if answer is not None:
         b, ref = answer
     else:
-        # linprog raises ValueError on data that is not finite
-        if not (np.isfinite(Q).all() and np.isfinite(f).all()):
-            raise ConvergenceError("minimax LP failed: LP data not finite")
         # variables (b, t), b free and t >= 0: minimize t s.t.
         # -t <= f - Q b <= t.  Presolve removes nothing from this dense LP
         # and only costs time.

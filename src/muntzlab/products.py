@@ -394,7 +394,7 @@ def product_approx_search(
     perturbation, so that it reaches k - 1 only at a factor whose last LP
     saw its current partners.  Each LP starts its exchange from the
     reference ref of this factor's last answer, which saves exchange steps
-    and changes no bit of the answer.
+    and gives an even spread's bits whenever both starts certify.
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")

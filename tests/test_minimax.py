@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 
 import muntzlab.minimax as minimax
 import muntzlab.products as products
-from muntzlab.errors import ConditioningError, ConfigError, ConvergenceError
+from muntzlab.errors import (
+    ConditioningError,
+    ConfigError,
+    ConvergenceError,
+    MuntzlabError,
+)
 from muntzlab.minimax import (
     best_uniform_approx,
     chebyshev_T,
@@ -562,7 +568,7 @@ def test_growth_sweep_matches_single_queries():
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
-def test_active_points_of_a_60_digit_answer_hold_the_reference(n):
+def test_arithmetic_growth_beyond_the_threshold_takes_the_60_digit_route(n):
     # arithmetic(1) on [0.75, 1] at query 0 takes the 60-digit route from
     # n = 7 on, where the exchange on its alternating reference certifies
     # the value
@@ -582,7 +588,7 @@ def test_values_agree_between_the_double_and_60_digit_routes(monkeypatch):
 
 
 def test_growth_large_values_match_chebyshev():
-    # [DERIVED] deep in the high-growth regime the mpmath path must still
+    # [DERIVED] deep in the high-growth regime the 60-digit route must still
     # track the closed form T_n((2-s)/s)
     g = discretize(normalize([[0.75, 1.0]]), 1e-3)
     n = 11
@@ -922,21 +928,73 @@ def test_discrete_minimax_lp_on_a_basis_wider_than_its_grid():
 
 
 def test_discrete_minimax_lp_zero_basis():
-    B = np.zeros((10, 2))
+    # a zero basis keeps no column, and a basis without columns has none:
+    # the exchange answers the empty basis on the row where |f| peaks
     f = np.linspace(0, 1, 10)
-    coeffs, err, ref = discrete_minimax_lp(B, f)
-    assert np.all(coeffs == 0)
-    assert ref is None
-    assert err == pytest.approx(1.0)
+    for B in (np.zeros((10, 2)), np.zeros((10, 0))):
+        coeffs, err, ref = discrete_minimax_lp(B, f)
+        assert coeffs.shape == (B.shape[1],)
+        assert np.all(coeffs == 0)
+        assert ref == (9,)
+        assert err == pytest.approx(1.0)
+
+
+def test_discrete_minimax_lp_refuses_a_grid_of_no_points():
+    with pytest.raises(ConfigError, match="grid of 0 points"):
+        discrete_minimax_lp(np.zeros((0, 2)), np.zeros(0))
+
+
+# entries with repeats, so that equal rows and exact fits are common, and
+# at most 1e15 in magnitude: from about 1e60 on, the exchange can overflow
+# and escape as a RuntimeWarning or linprog's ValueError, not yet mended
+lp_entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-1e15, 1e15))
+
+
+@st.composite
+def small_minimax_lps(draw):
+    """(B, f) of a minimax LP on N <= 30 grid points with m <= 10
+    columns, each drawn afresh, zero, or a copy of an earlier one; m > N
+    makes a basis wider than its grid.  At times one entry of B or f is
+    not finite."""
+    N, m = draw(st.integers(1, 30)), draw(st.integers(0, 10))
+    column = st.lists(lp_entries, min_size=N, max_size=N)
+    cols = []
+    for j in range(m):
+        kind = draw(st.sampled_from(["new", "zero", "copy"][:3 if j else 2]))
+        cols.append(draw(column) if kind == "new" else
+                    [0.0] * N if kind == "zero" else
+                    cols[draw(st.integers(0, j - 1))])
+    B = np.array(cols, dtype=float).reshape(m, N).T.copy()
+    f = np.array(draw(column))
+    bad = draw(st.none() | st.sampled_from([math.nan, math.inf, -math.inf]))
+    if bad is not None:
+        data = draw(st.sampled_from([B, f] if m else [f]))
+        data.flat[draw(st.integers(0, data.size - 1))] = bad
+    return B, f
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_minimax_lps())
+def test_minimax_lp_answers_or_raises_a_muntzlab_error(lp):
+    # any other exception, or an answer that is not finite, fails the test
+    B, f = lp
+    try:
+        coeffs, err, ref = discrete_minimax_lp(B, f)
+    except MuntzlabError:
+        return
+    assert np.isfinite(B).all() and np.isfinite(f).all()
+    assert coeffs.shape == (B.shape[1],)
+    assert np.isfinite(coeffs).all() and math.isfinite(err)
 
 
 # ---------------------------------------------- Stiefel's exchange on the LP
 
 
-@pytest.fixture(scope="module")
-def criterion_8_lps():
-    """(B, f, start) of every LP that the criterion-8 search solves, start
-    being the reference the search hands it."""
+def search_lps(n):
+    """(B, f, start) of every LP that the squares x 4 search at dimension
+    n solves with criterion 8's grid and settings, start being the
+    reference the search hands it."""
     lps = []
     real = products.discrete_minimax_lp
 
@@ -949,9 +1007,14 @@ def criterion_8_lps():
     spec = products.ProductSpaceSpec(tuple(squares() for _ in range(4)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(products, "discrete_minimax_lp", recorded)
-        products.product_approx_search(np.abs(2 * x - 1), g, spec, n=6,
+        products.product_approx_search(np.abs(2 * x - 1), g, spec, n=n,
                                        rounds=20, seed=0, restarts=5)
     return lps
+
+
+@pytest.fixture(scope="module")
+def criterion_8_lps():
+    return search_lps(6)
 
 
 def weighted_lp_input(seed):
@@ -1076,6 +1139,22 @@ def test_minimax_exchange_start_leaves_the_bits(criterion_8_lps):
         last = cold[2]
 
 
+def test_minimax_exchange_start_leaves_the_bits_whenever_both_certify():
+    # on the n = 10 search the even spread fails on some LPs where the
+    # search's start certifies, and HiGHS answers those; wherever both
+    # starts certify, the bits are the same
+    cold_to_highs = 0
+    for B, f, start in search_lps(10):
+        warm = discrete_minimax_lp(B, f, start)
+        cold = discrete_minimax_lp(B, f)
+        if cold[2] is None:
+            cold_to_highs += 1
+        elif warm[2] is not None:
+            assert warm[0].tobytes() == cold[0].tobytes()
+            assert warm[1:] == cold[1:]
+    assert cold_to_highs > 0
+
+
 def test_failed_minimax_exchange_hands_over_to_highs(monkeypatch,
                                                       criterion_8_lps):
     cases = criterion_8_lps[::10] + [weighted_lp_input(s) + (None,)
@@ -1089,6 +1168,123 @@ def test_failed_minimax_exchange_hands_over_to_highs(monkeypatch,
         # above the optimum on these LPs, never below it
         assert err * (1.0 - 1e-12) <= got <= err * (1.0 + 1e-6)
         assert np.max(np.abs(f - B @ coeffs)) == pytest.approx(got, rel=1e-9)
+
+
+def statements_run(code, run):
+    """run() and the line numbers of the function `code` that it ran,
+    recorded by sys.settrace."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        return run(), seen
+    finally:
+        sys.settrace(old)
+
+
+def line_after(func, text, occurrence=0):
+    """The line number of the statement after the `occurrence`-th line of
+    func's source that reads `text`."""
+    lines, first = inspect.getsourcelines(func)
+    return [first + i for i, line in enumerate(lines)
+            if line.strip() == text][occurrence] + 1
+
+
+def edit_stiefel_solves(edit):
+    """A patch of np.linalg.solve that passes each solution X of a _stiefel
+    step through edit(A, X)."""
+    def patch(monkeypatch):
+        real, code = np.linalg.solve, minimax._stiefel.__code__
+
+        def solve(A, b):
+            X = real(A, b)
+            return edit(A, X) if sys._getframe(1).f_code is code else X
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+    return patch
+
+
+def edit_second_stiefel(edit):
+    """A patch of _stiefel that passes the answer of its second call, the
+    exchange on the rows near the level, through edit(answer)."""
+    def patch(monkeypatch):
+        real, calls = minimax._stiefel, []
+
+        def stiefel(Q, f, start=None):
+            calls.append(1)
+            answer = real(Q, f, start)
+            return edit(answer) if len(calls) == 2 else answer
+
+        monkeypatch.setattr(minimax, "_stiefel", stiefel)
+    return patch
+
+
+def singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def mixed_weights(A, X):
+    X[-1, 1] = -A[0, -1]  # mu_0 = -1 whatever the signs
+    return X
+
+
+def no_ratio(A, X):
+    X[:, 1:] = 0.0  # mu = 0 and every ratio direction d = 0
+    return X
+
+
+# each exchange failure that no LP of the lab meets: the patch that brings
+# it about, and the function, text and occurrence of the line whose
+# `return None` it reaches
+EXCHANGE_FAILURES = {
+    "singular reference": (edit_stiefel_solves(singular), minimax._stiefel,
+                           "except np.linalg.LinAlgError:", 0),
+    "signs stay inconsistent": (edit_stiefel_solves(mixed_weights),
+                                minimax._stiefel, "if resigned:", 0),
+    "no positive ratio": (edit_stiefel_solves(no_ratio), minimax._stiefel,
+                          "if pos.size == 0:", 0),
+    "second exchange fails": (edit_second_stiefel(lambda answer: None),
+                              minimax._minimax_exchange,
+                              "if answer is None:", 1),
+    "answer fails on a row": (
+        edit_second_stiefel(lambda answer: (*answer[:2], answer[2] / 2,
+                                            answer[3])),
+        minimax._minimax_exchange,
+        "if np.max(np.abs(f - Q @ b)) > h * (1.0 + MINIMAX_CERT_RTOL):", 0),
+}
+
+
+@pytest.mark.parametrize("failure", EXCHANGE_FAILURES)
+def test_each_exchange_failure_hands_the_lp_to_highs(monkeypatch, failure):
+    patch, func, text, occurrence = EXCHANGE_FAILURES[failure]
+    B, f = weighted_lp_input(0)  # which the exchange answers unpatched
+    want_coeffs, want_err, _ = highs_answer(B, f)
+    patch(monkeypatch)
+    (coeffs, err, ref), seen = statements_run(
+        func.__code__, lambda: discrete_minimax_lp(B, f))
+    assert line_after(func, text, occurrence) in seen
+    assert ref is None
+    assert coeffs.tobytes() == want_coeffs.tobytes() and err == want_err
+
+
+@pytest.mark.parametrize("solver", ["best_uniform_approx", "_set_chebyshev"])
+def test_a_singular_reference_system_is_a_conditioning_error(monkeypatch,
+                                                             solver):
+    g = discretize(normalize([[0.5, 1.0]]), 1e-2)
+    x = g.as_array()
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ConditioningError, match="^singular reference system$"):
+        if solver == "best_uniform_approx":
+            best_uniform_approx(x ** 2, g, [0.0, 1.0])
+        else:  # a query outside the hull: the double exchange
+            growth_functional([0.0, 1.0], g, 0.0)
 
 
 # ------------------------------- the LP door: linprog after a failed exchange
@@ -1186,8 +1382,15 @@ def test_lp_door_failures_raise_convergence_error(monkeypatch, status, solver):
 
 
 def test_lp_door_refuses_data_that_is_not_finite():
+    # before any factorization, whether or not the exchange would answer,
+    # and on a basis of zeros too
     B, f = minimax_lp_input(0)
-    f[3] = np.nan
-    with pytest.raises(ConvergenceError,
-                       match="^minimax LP failed: LP data not finite$"):
-        discrete_minimax_lp(B, f)
+    for data, i, bad in [("f", 3, np.nan), ("B", (5, 1), np.nan),
+                         ("B", (5, 1), np.inf), ("B", (0, 0), -np.inf),
+                         ("f", 0, np.inf)]:
+        for basis in (B, 0.0 * B):
+            lp = {"B": basis.copy(), "f": f.copy()}
+            lp[data][i] = bad
+            with pytest.raises(ConvergenceError, match=(
+                    "^minimax LP failed: LP data not finite$")):
+                discrete_minimax_lp(lp["B"], lp["f"])
