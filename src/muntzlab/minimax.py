@@ -13,8 +13,8 @@ Two solvers share one orthonormalization front end:
 
 The discrete minimax LP (min over b of max |f - Q b|, on which the
 exchange falls back and which the product search solves) is answered by
-Stiefel's exchange (_stiefel): the simplex method on its dual, whose
-bases are references of k + 1 grid points, valid without a Haar
+one run of Stiefel's exchange (_stiefel): the simplex method on its dual,
+whose bases are references of k + 1 grid points, valid without a Haar
 condition.  When that exchange fails, one call to scipy's linprog answers
 the LP by HiGHS dual simplex.
 
@@ -499,7 +499,6 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
 
 MINIMAX_CERT_RTOL = 1e-12  # max |r| over the dual bound h that certifies
 MINIMAX_WEIGHT_TOL = 1e-12  # dual weights (of sum 1) at most this are 0
-NEAR_LEVEL_RTOL = 1e-6  # |r| this close to max |r| may be on an optimal reference
 
 
 def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
@@ -522,19 +521,24 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
     as a cycle.
 
     Starts from the reference `start` (row indices), or from k + 1 evenly
-    spread rows, and stops when max |r| <= h (1 + MINIMAX_CERT_RTOL): h is
-    a lower bound on the optimum by weak duality, so b is optimal to that
-    tolerance.  Every step factors its matrix afresh: one LU solve gives
-    (b, h) and the inverse.  Returns (ref, b, h, r) of that step, or None
-    when the exchange fails: a singular reference, signs that stay
-    inconsistent, an entering row already in the reference, no positive
-    ratio, a fall of h, the MAX_EXCHANGES cap, or a dual weight of at most
-    MINIMAX_WEIGHT_TOL at the end (the optimal b may then not be unique).
+    spread rows.  The reference is kept sorted, the signs permuted along,
+    so a step's system depends on its set of rows and their signs alone:
+    started from the reference of its own answer, the exchange solves
+    that answer's system again and returns the same bits.  It stops when
+    max |r| <= h (1 + MINIMAX_CERT_RTOL) on every row: h is a lower bound
+    on the optimum by weak duality, so b is optimal to that tolerance.
+    Every step factors its matrix afresh: one LU solve gives (b, h) and
+    the inverse.  Returns (ref, b) of that step, ref a sorted tuple, or
+    None when the exchange fails: a singular reference, a solution that is
+    not finite, signs that stay inconsistent, an entering row already in
+    the reference, no positive ratio, a fall of h, the MAX_EXCHANGES cap,
+    or a dual weight of at most MINIMAX_WEIGHT_TOL at the end (the optimal
+    b may then not be unique).
     """
     N, k = Q.shape
     if start is None or len(start) != k + 1 or max(start) >= N:
         start = _even_spread(N, k + 1)
-    ref = [int(i) for i in start]
+    ref = sorted(int(i) for i in start)
     if len(set(ref)) != k + 1:
         return None
     resigned, h_last = False, 0.0
@@ -548,11 +552,12 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
     entering = np.empty(k + 1)
     r, abs_r = np.empty(N), np.empty(N)
     for _ in range(MAX_EXCHANGES):
-        rows = np.array(ref)
-        A[:, :k], A[:, k], rhs[:, 0] = Q.take(rows, axis=0), sigma, f.take(rows)
+        A[:, :k], A[:, k], rhs[:, 0] = Q.take(ref, axis=0), sigma, f.take(ref)
         try:
             X = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(X).all():
             return None
         b, h, Ainv = X[:k, 0], float(X[k, 0]), X[:, 1:]
         if h < 0.0:  # the opposite signs make the same mu, with -h
@@ -571,7 +576,7 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
         if abs_r[p] <= h * (1.0 + MINIMAX_CERT_RTOL):
             # with a weight of 0 the optimal b need not be unique, and which
             # one the exchange reaches would depend on where it started
-            return (ref, b, h, r) if mu.min() > MINIMAX_WEIGHT_TOL else None
+            return (tuple(ref), b) if mu.min() > MINIMAX_WEIGHT_TOL else None
         if p in ref:
             return None
         s = 1.0 if r[p] > 0.0 else -1.0
@@ -582,59 +587,40 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
             return None
         j = int(pos[(mu[pos] / d[pos]).argmin()])
         ref[j], sigma[j] = p, s
+        order = sorted(range(k + 1), key=ref.__getitem__)
+        ref, sigma = [ref[i] for i in order], sigma[order]
     return None
-
-
-def _minimax_exchange(Q: np.ndarray, f: np.ndarray, start=None):
-    """min over b of max |f - Q b| by Stiefel's exchange, from the
-    reference `start` or from an even spread.  Returns (b, ref), ref the
-    sorted optimal reference, or None when the exchange fails.
-
-    Rows can share the level to rounding (coordinate descent makes them),
-    and then several references are optimal.  So b is that of a second
-    exchange on the rows within NEAR_LEVEL_RTOL of the level, from their
-    even spread, whatever `start` was, so that two starts that both
-    certify give the same b (on every LP of the product searches tried).
-    A start still decides whether the first exchange certifies at all.
-    b is checked on every row: max |f - Q b| <= h (1 + MINIMAX_CERT_RTOL).
-    """
-    answer = _stiefel(Q, f, start)
-    if answer is None:
-        return None
-    r = np.abs(answer[3])
-    near = np.flatnonzero(r >= (1.0 - NEAR_LEVEL_RTOL) * r.max())
-    answer = _stiefel(Q[near], f[near])
-    if answer is None:
-        return None
-    ref, b, h, _ = answer
-    if np.max(np.abs(f - Q @ b)) > h * (1.0 + MINIMAX_CERT_RTOL):
-        return None
-    return b, tuple(sorted(near[ref].tolist()))
 
 
 def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
     """min over c of max_i |f_i - (B c)_i| for an arbitrary basis matrix B
     (no Chebyshev-system assumption).
 
-    Data that is not finite raises ConvergenceError before any
-    factorization, and a grid of no points ConfigError.  B is factored by
-    numpy's QR, or, when B is wider than its N grid points or fails the
-    RANK_TOL test, by one column-pivoted QR, whose leading columns that
-    pass the test are kept with that QR's own factors; the other columns,
-    zero ones among them, get the coefficient 0.  With no column kept, the
-    exchange answers the empty basis on one row: err = max |f|.  In the QR
-    coordinates Q b, Stiefel's exchange (_minimax_exchange) answers from
+    A grid of no points, or f whose shape is not (N,) for the N rows of B,
+    raises ConfigError, and data that is not finite ConvergenceError, all
+    before any factorization.  B is factored by numpy's QR, or, when B is
+    wider than its N grid points or fails the RANK_TOL test, by one
+    column-pivoted QR, whose leading columns that pass the test are kept
+    with that QR's own factors; the other columns, zero ones among them,
+    get the coefficient 0.  Factors that are not finite (B too large for
+    the QR) raise ConvergenceError.  With no column kept, the exchange
+    answers the empty basis on one row: err = max |f|.  In the QR
+    coordinates Q b, one run of Stiefel's exchange (_stiefel) answers from
     the reference `start`, or from an even spread; when it fails, scipy's
     linprog answers the dense LP in (b, t) by HiGHS dual simplex, presolve
     off, and an LP that HiGHS does not solve to optimality raises
     ConvergenceError.  Returns (coeffs, err, ref): err is the residual
     max |f - Q b| of the point b returned, not a level, and ref the sorted
-    optimal reference of the exchange (a `start` for a similar problem),
-    or None when HiGHS answered.
+    optimal reference of the exchange, or None when HiGHS answered.
+    Started from its own answer's ref, the LP returns that answer again,
+    to the bit; two starts that both certify agree in err to rounding, not
+    always in their bits.
     """
     N, m = B.shape
     if not N:
         raise ConfigError("minimax LP on a grid of 0 points")
+    if np.shape(f) != (N,):
+        raise ConfigError("target samples must match the grid")
     if not (np.isfinite(B).all() and np.isfinite(f).all()):
         raise ConvergenceError("minimax LP failed: LP data not finite")
     Q, R = np.linalg.qr(B)
@@ -647,10 +633,12 @@ def discrete_minimax_lp(B: np.ndarray, f: np.ndarray, start=None):
         d = np.abs(np.diag(R))
         k = int(np.sum(d > RANK_TOL * d.max()))
         Q, R, keep = Q[:, :k], R[:k, :k], piv[:k]
+    if not (np.isfinite(Q).all() and np.isfinite(R).all()):
+        raise ConvergenceError("minimax LP failed: QR factors not finite")
     k = Q.shape[1]
-    answer = _minimax_exchange(Q, f, start)
+    answer = _stiefel(Q, f, start)
     if answer is not None:
-        b, ref = answer
+        ref, b = answer
     else:
         # variables (b, t), b free and t >= 0: minimize t s.t.
         # -t <= f - Q b <= t.  Presolve removes nothing from this dense LP

@@ -393,8 +393,10 @@ def product_approx_search(
     starts at -1, at the start of a restart and after a dead-product
     perturbation, so that it reaches k - 1 only at a factor whose last LP
     saw its current partners.  Each LP starts its exchange from the
-    reference ref of this factor's last answer, which saves exchange steps
-    and gives an even spread's bits whenever both starts certify.
+    reference ref of this factor's last answer, which saves exchange
+    steps; an LP started from its own answer's ref returns that answer to
+    the bit, so a repeated LP would repeat its answer, and the stop skips
+    only what solving every LP would give.
     """
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import math
@@ -945,20 +946,20 @@ def test_discrete_minimax_lp_refuses_a_grid_of_no_points():
 
 
 # entries with repeats, so that equal rows and exact fits are common, and
-# at most 1e15 in magnitude: from about 1e60 on, the exchange can overflow
-# and escape as a RuntimeWarning or linprog's ValueError, not yet mended
+# at most 1e15 in magnitude, where answers stay in range; the test over all
+# finite floats below reaches the overflows
 lp_entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
                        st.floats(-1e15, 1e15))
 
 
 @st.composite
-def small_minimax_lps(draw):
+def small_minimax_lps(draw, entries=lp_entries):
     """(B, f) of a minimax LP on N <= 30 grid points with m <= 10
     columns, each drawn afresh, zero, or a copy of an earlier one; m > N
     makes a basis wider than its grid.  At times one entry of B or f is
     not finite."""
     N, m = draw(st.integers(1, 30)), draw(st.integers(0, 10))
-    column = st.lists(lp_entries, min_size=N, max_size=N)
+    column = st.lists(entries, min_size=N, max_size=N)
     cols = []
     for j in range(m):
         kind = draw(st.sampled_from(["new", "zero", "copy"][:3 if j else 2]))
@@ -974,11 +975,8 @@ def small_minimax_lps(draw):
     return B, f
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(small_minimax_lps())
-def test_minimax_lp_answers_or_raises_a_muntzlab_error(lp):
+def answers_or_raises_a_muntzlab_error(B, f):
     # any other exception, or an answer that is not finite, fails the test
-    B, f = lp
     try:
         coeffs, err, ref = discrete_minimax_lp(B, f)
     except MuntzlabError:
@@ -988,9 +986,36 @@ def test_minimax_lp_answers_or_raises_a_muntzlab_error(lp):
     assert np.isfinite(coeffs).all() and math.isfinite(err)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_minimax_lps())
+def test_minimax_lp_answers_or_raises_a_muntzlab_error(lp):
+    answers_or_raises_a_muntzlab_error(*lp)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_minimax_lps(st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False))))
+def test_minimax_lp_on_all_finite_floats_answers_or_raises_a_muntzlab_error(lp):
+    # entries up to 1.7e308 overflow in the QR or in the exchange's
+    # residual: a typed error, or HiGHS's answer, never a RuntimeWarning or
+    # linprog's ValueError
+    answers_or_raises_a_muntzlab_error(*lp)
+
+
+def test_minimax_lp_refuses_f_of_another_shape():
+    # before any QR: f of length 1, of length 25, or a column on 20 rows
+    B = basis_matrix(np.linspace(0.0, 1.0, 20), [0.0, 1.0])
+    for f in (np.ones(1), np.ones(25), np.ones((20, 1))):
+        with pytest.raises(ConfigError,
+                           match="^target samples must match the grid$"):
+            discrete_minimax_lp(B, f)
+
+
 # ---------------------------------------------- Stiefel's exchange on the LP
 
 
+@functools.cache
 def search_lps(n):
     """(B, f, start) of every LP that the squares x 4 search at dimension
     n solves with criterion 8's grid and settings, start being the
@@ -1030,7 +1055,7 @@ def weighted_lp_input(seed):
 
 def highs_answer(B, f):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minimax, "_minimax_exchange", lambda Q, f, start=None: None)
+        mp.setattr(minimax, "_stiefel", lambda Q, f, start=None: None)
         return discrete_minimax_lp(B, f)
 
 
@@ -1046,13 +1071,18 @@ def dual_bound(B, f, coeffs, ref):
     return s * w, float(w @ f[ref])
 
 
-def check_answer(B, f, start=None):
-    """discrete_minimax_lp's error is never above the HiGHS residual by more
-    than 1e-12 relative, and an exchange answer carries its certificate:
-    dual weights >= 0 from a fresh solve on its reference, and a dual value
-    h with (E - h) / E <= 1e-12.  Returns the reference."""
-    coeffs, err, ref = discrete_minimax_lp(B, f, start)
-    _, want, _ = highs_answer(B, f)
+def check_answer(B, f, start=None, answer=None, want=None):
+    """discrete_minimax_lp's error is never above the HiGHS residual `want`
+    by more than 1e-12 relative, and an exchange answer carries its
+    certificate: dual weights >= 0 from a fresh solve on its reference,
+    and a dual value h with (E - h) / E <= 1e-12.  The answer is that of
+    the LP from `start` and the residual that of highs_answer, unless
+    given.  Returns the reference."""
+    if answer is None:
+        answer = discrete_minimax_lp(B, f, start)
+    if want is None:
+        want = highs_answer(B, f)[1]
+    coeffs, err, ref = answer
     assert err <= want * (1.0 + 1e-12)
     if ref is not None:
         mu, h = dual_bound(B, f, coeffs, ref)
@@ -1106,7 +1136,7 @@ def test_minimax_exchange_stops_when_h_falls(monkeypatch):
 
 
 def test_minimax_exchange_keeps_its_steps_on_criterion_8(monkeypatch):
-    # the search's LPs take 1848 LU solves in _stiefel and end on the floor
+    # the search's LPs take 1384 LU solves in _stiefel and end on the floor
     # 0.056345871490953825: a change to how a step is computed moves no step
     steps = []
     real = np.linalg.solve
@@ -1122,51 +1152,59 @@ def test_minimax_exchange_keeps_its_steps_on_criterion_8(monkeypatch):
     rep = products.product_approx_search(np.abs(2 * g.as_array() - 1), g, spec,
                                          n=6, rounds=20, seed=0, restarts=5)
     monkeypatch.undo()
-    assert len(steps) == 1848
+    assert len(steps) == 1384
     assert repr(rep.best_error_by_round[-1]) == "0.056345871490953825"
 
 
-def test_minimax_exchange_start_leaves_the_bits(criterion_8_lps):
-    # a cold start, the search's start, the answer's own reference and the
-    # previous LP's reference all give the same bits
-    last = None
-    for B, f, start in criterion_8_lps:
-        cold = discrete_minimax_lp(B, f)
-        for warm in (start, cold[2], last):
-            got = discrete_minimax_lp(B, f, warm)
-            assert got[0].tobytes() == cold[0].tobytes()
-            assert got[1:] == cold[1:]
-        last = cold[2]
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_minimax_exchange_started_from_its_answer_returns_it(n):
+    # the product search's fixed-point stop rests on this: an LP started
+    # from the reference of its own exchange answer returns that answer
+    answered = 0
+    for B, f, start in search_lps(n):
+        coeffs, err, ref = discrete_minimax_lp(B, f, start)
+        if ref is None:
+            continue
+        again = discrete_minimax_lp(B, f, ref)
+        assert again[0].tobytes() == coeffs.tobytes()
+        assert again[1:] == (err, ref)
+        answered += 1
+    assert answered > 0
 
 
-def test_minimax_exchange_start_leaves_the_bits_whenever_both_certify():
-    # on the n = 10 search the even spread fails on some LPs where the
-    # search's start certifies, and HiGHS answers those; wherever both
-    # starts certify, the bits are the same
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_minimax_exchange_cold_and_warm_starts_agree_on_the_error(n):
+    # the search's start and an even spread can stop on different optimal
+    # references, whose bits differ; where both certify, both answers
+    # carry their certificate and their errors agree to rounding.  On the
+    # n = 10 and 12 searches the even spread fails on some LPs where the
+    # search's start certifies, and HiGHS answers those.
     cold_to_highs = 0
-    for B, f, start in search_lps(10):
+    for B, f, start in search_lps(n):
         warm = discrete_minimax_lp(B, f, start)
         cold = discrete_minimax_lp(B, f)
         if cold[2] is None:
             cold_to_highs += 1
         elif warm[2] is not None:
-            assert warm[0].tobytes() == cold[0].tobytes()
-            assert warm[1:] == cold[1:]
-    assert cold_to_highs > 0
+            want = highs_answer(B, f)[1]
+            check_answer(B, f, answer=warm, want=want)
+            check_answer(B, f, answer=cold, want=want)
+            assert cold[1] == pytest.approx(warm[1], rel=1e-12)
+    assert (cold_to_highs > 0) == (n > 6)
 
 
 def test_failed_minimax_exchange_hands_over_to_highs(monkeypatch,
                                                       criterion_8_lps):
-    cases = criterion_8_lps[::10] + [weighted_lp_input(s) + (None,)
-                                     for s in range(5)]
+    cases = criterion_8_lps + [weighted_lp_input(s) + (None,)
+                               for s in range(5)]
     want = [discrete_minimax_lp(B, f, start)[1] for B, f, start in cases]
     monkeypatch.setattr(minimax, "MAX_EXCHANGES", 1)  # the cap stops it
     for (B, f, start), err in zip(cases, want):
         coeffs, got, ref = discrete_minimax_lp(B, f)
         assert ref is None
-        # HiGHS stops at its feasibility tolerance, up to 1e-6 relative
+        # HiGHS stops at its feasibility tolerance, up to 1.3e-6 relative
         # above the optimum on these LPs, never below it
-        assert err * (1.0 - 1e-12) <= got <= err * (1.0 + 1e-6)
+        assert err * (1.0 - 1e-12) <= got <= err * (1.0 + 1.5e-6)
         assert np.max(np.abs(f - B @ coeffs)) == pytest.approx(got, rel=1e-9)
 
 
@@ -1211,23 +1249,13 @@ def edit_stiefel_solves(edit):
     return patch
 
 
-def edit_second_stiefel(edit):
-    """A patch of _stiefel that passes the answer of its second call, the
-    exchange on the rows near the level, through edit(answer)."""
-    def patch(monkeypatch):
-        real, calls = minimax._stiefel, []
-
-        def stiefel(Q, f, start=None):
-            calls.append(1)
-            answer = real(Q, f, start)
-            return edit(answer) if len(calls) == 2 else answer
-
-        monkeypatch.setattr(minimax, "_stiefel", stiefel)
-    return patch
-
-
 def singular(*args):
     raise np.linalg.LinAlgError("Singular matrix")
+
+
+def not_finite(A, X):
+    X[0, 0] = np.nan  # as an overflow in the LU solve leaves it
+    return X
 
 
 def mixed_weights(A, X):
@@ -1246,18 +1274,13 @@ def no_ratio(A, X):
 EXCHANGE_FAILURES = {
     "singular reference": (edit_stiefel_solves(singular), minimax._stiefel,
                            "except np.linalg.LinAlgError:", 0),
+    "solution not finite": (edit_stiefel_solves(not_finite),
+                            minimax._stiefel,
+                            "if not np.isfinite(X).all():", 0),
     "signs stay inconsistent": (edit_stiefel_solves(mixed_weights),
                                 minimax._stiefel, "if resigned:", 0),
     "no positive ratio": (edit_stiefel_solves(no_ratio), minimax._stiefel,
                           "if pos.size == 0:", 0),
-    "second exchange fails": (edit_second_stiefel(lambda answer: None),
-                              minimax._minimax_exchange,
-                              "if answer is None:", 1),
-    "answer fails on a row": (
-        edit_second_stiefel(lambda answer: (*answer[:2], answer[2] / 2,
-                                            answer[3])),
-        minimax._minimax_exchange,
-        "if np.max(np.abs(f - Q @ b)) > h * (1.0 + MINIMAX_CERT_RTOL):", 0),
 }
 
 
@@ -1294,8 +1317,7 @@ def test_a_singular_reference_system_is_a_conditioning_error(monkeypatch,
 def exchange_fails(monkeypatch):
     """discrete_minimax_lp with its exchange reporting failure, so that
     linprog answers."""
-    monkeypatch.setattr(minimax, "_minimax_exchange",
-                        lambda Q, f, start=None: None)
+    monkeypatch.setattr(minimax, "_stiefel", lambda Q, f, start=None: None)
 
 
 def minimax_lp_input(seed):

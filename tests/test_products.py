@@ -281,8 +281,9 @@ def test_spec_k():
 
 
 def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
-    """The search loop with every LP solved afresh in every round: the
-    oracle for the fixed-point stop in product_approx_search."""
+    """The search loop with every LP solved afresh in every round, each
+    from the reference of its factor's last answer as the search starts
+    it: the oracle for the fixed-point stop in product_approx_search."""
     V = [basis_matrix(x, truncate(seq, n)) for seq in spec.sequences]
     dims = [v.shape[1] for v in V]
     rng = np.random.default_rng([seed, 777])
@@ -290,6 +291,7 @@ def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
     best_by_round = [math.inf] * rounds
     best_err = math.inf
     best_coeffs = None
+    starts = [None] * spec.k
     for restart in range(restarts):
         coeffs = []
         for j in range(spec.k):
@@ -313,7 +315,7 @@ def plain_coordinate_descent(f, x, spec, n, rounds, seed, restarts):
                     cur = float(np.max(np.abs(f - np.prod(F, axis=0))))
                     continue
                 B = g[:, None] * V[j]
-                c_new, err, _ = discrete_minimax_lp(B, f)
+                c_new, err, starts[j] = discrete_minimax_lp(B, f, starts[j])
                 if err <= cur:
                     coeffs[j] = c_new
                     F[j] = V[j] @ c_new
@@ -351,36 +353,56 @@ def counting_lp(monkeypatch, module):
     return calls
 
 
-def test_search_stops_each_restart_at_its_fixed_point_on_criterion_8(monkeypatch):
+# searches on criterion 8's grid and target, 20 rounds and 5 restarts:
+# (factors, n, LPs the search poses, its last entry, and how far that
+# entry is from the residual of `best`, relative).  The first is
+# criterion 8; the mixed one alternates squares and arithmetic(1).  The
+# entry is the LP's residual in QR coordinates, and on arithmetic(1) x 4
+# the returned coefficients' own residual is 4.5e-10 above it.
+FIXED_POINT_SEARCHES = {
+    "criterion 8": ((squares(),) * 4, 6, 137, 5.6345871490953825e-2, 1e-12),
+    "arithmetic(1) x 4": ((arithmetic(1.0),) * 4, 10, 164,
+                          2.783556576891244e-2, 1e-9),
+    "mixed k = 3": ((squares(), arithmetic(1.0), squares()), 8, 102,
+                    6.061030273389367e-2, 1e-12),
+}
+
+
+@pytest.mark.parametrize("search", FIXED_POINT_SEARCHES)
+def test_search_stops_each_restart_at_its_fixed_point(monkeypatch, search):
+    sequences, n, posed_lps, last, rel = FIXED_POINT_SEARCHES[search]
     g = discretize(normalize([[0.0, 1.0]]), 1.0 / 256)
     x = g.as_array()
     f = np.abs(2 * x - 1)
-    spec = ProductSpaceSpec(tuple(squares() for _ in range(4)))
-    args = dict(n=6, rounds=20, seed=0, restarts=5)
+    spec = ProductSpaceSpec(sequences)
+    args = dict(n=n, rounds=20, seed=0, restarts=5)
     calls = counting_lp(monkeypatch, products)
     rep = product_approx_search(f, g, spec, **args)
     oracle_calls = counting_lp(monkeypatch, sys.modules[__name__])
     oracle = plain_coordinate_descent(f, x, spec, **args)
     assert_same_bits(rep, oracle)
     # the reported error is the residual of the factors that are returned
-    assert rep.best_error_by_round[-1] == 5.6345871490953825e-2
+    assert rep.best_error_by_round[-1] == last
     assert rep.best_error_by_round[-1] == pytest.approx(
-        np.max(np.abs(f - eval_product(rep.best, x))), rel=1e-12)
-    # no dead product here, so oracle LP i is restart i // 80.  Each restart
-    # of the search poses the first LPs of the oracle's same restart, and
-    # stops where every later oracle input repeats the one k LPs before it
-    assert len(oracle_calls) == 400
+        np.max(np.abs(f - eval_product(rep.best, x))), rel=rel)
+    # no dead product here, so oracle LP i is restart i // per_restart.
+    # Each restart of the search poses the first LPs of the oracle's same
+    # restart, and stops where every later oracle input repeats the one k
+    # LPs before it
+    per_restart = spec.k * args["rounds"]
+    assert len(oracle_calls) == per_restart * args["restarts"]
     pos = 0
     for r in range(args["restarts"]):
-        restart = oracle_calls[80 * r:80 * (r + 1)]
+        restart = oracle_calls[per_restart * r:per_restart * (r + 1)]
         posed = 0
-        while pos + posed < len(calls) and posed < 80 and \
+        while pos + posed < len(calls) and posed < per_restart and \
                 calls[pos + posed] == restart[posed]:
             posed += 1
         pos += posed
         assert posed >= spec.k
-        assert all(restart[i] == restart[i - spec.k] for i in range(posed, 80))
-    assert pos == len(calls) == 140
+        assert all(restart[i] == restart[i - spec.k]
+                   for i in range(posed, per_restart))
+    assert pos == len(calls) == posed_lps
 
 
 def test_search_k1_matches_plain_descent_with_one_lp_per_restart(monkeypatch):
