@@ -138,8 +138,8 @@ def run_classical(c, seed: int):
 def run_remez_constant(c, seed: int):
     family = c.family or remezlab.default_set_family(c.s, c.rho)
     trend = remezlab.remez_trend(c.sequence, c.n_max, c.s, c.rho, family, c.mesh)
-    return [[e.n, e.s, e.rho, e.attaining_set, e.attaining_query, e.mesh,
-             e.c_value] for e in trend]
+    return [[n, c.s, c.rho, e.attaining_set, e.attaining_query, c.mesh,
+             e.c_value] for n, e in enumerate(trend)]
 
 
 def run_density(c, seed: int):
@@ -157,7 +157,7 @@ def run_products_alpha(c, seed: int):
     for j, seq in enumerate(c.sequences):
         est = products.estimate_alpha(seq, c.n, c.s, c.k, c.budget, seed,
                                       c.mesh, j=j)
-        rows.append([est.j, est.n, est.s, est.k, est.alpha, est.sample_count])
+        rows.append([j, c.n, c.s, c.k, est.alpha, est.sample_count])
     return rows
 
 
@@ -168,7 +168,7 @@ def run_products_verify(c, seed: int):
               for j, seq in enumerate(c.sequences)]
     rep = products.verify_product_remez(spec, c.n, c.s, c.rho, alphas,
                                         c.budget, seed, c.mesh)
-    return [[i, r, rep.c, int(r > rep.c * (1.0 + 1e-9))]
+    return [[i, r, rep.c, int(products.violates_product_bound(r, 1.0, rep.c))]
             for i, r in enumerate(rep.ratios)]
 
 

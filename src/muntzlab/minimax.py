@@ -74,7 +74,6 @@ class EquioscillationResult:
 class GrowthResult:
     value: float
     extremal: MuntzPolynomial
-    query: float
 
 
 def chebyshev_T(n: int, x: float) -> float:
@@ -241,7 +240,7 @@ def best_uniform_approx(
     if len(x) <= m:
         raise ConfigError(f"grid of {len(x)} points too small for dimension {m}")
 
-    scale = float(np.max(np.abs(f))) if f.size else 0.0
+    scale = float(np.max(np.abs(f)))
     gap_floor = 1e-9 * max(1.0, scale)
     if scale == 0.0:
         zero = MuntzPolynomial(exps, (0.0,) * m)
@@ -494,7 +493,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
         p = extremal(coeffs)
         for i, v in zip(group, values):
             answers[i] = (v, p)
-    return [GrowthResult(v, p, y) for y, (v, p) in zip(ys, answers)]
+    return [GrowthResult(v, p) for v, p in answers]
 
 
 MINIMAX_CERT_RTOL = 1e-12  # max |r| over the dual bound h that certifies

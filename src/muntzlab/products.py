@@ -43,8 +43,6 @@ class ProductPolynomial:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    j: int
-    n: int
     s: float
     k: int
     alpha: float
@@ -199,8 +197,7 @@ def estimate_alpha(
         for p in samples:
             pv, py = values(p)
             alpha = max(alpha, _needed_alpha(pv, w, py, target))
-    return AlphaEstimate(j=j, n=n, s=s, k=k, alpha=alpha,
-                         sample_count=len(samples))
+    return AlphaEstimate(s=s, k=k, alpha=alpha, sample_count=len(samples))
 
 
 def _random_admissible_set(rng, s: float, rho: float, idx: int):
@@ -230,6 +227,12 @@ def _product_constant(spec: ProductSpaceSpec, s: float, alphas) -> float:
         if abs(a.s - s) > 1e-12 or a.k != spec.k:
             raise ConfigError("alpha estimates do not match (s, k)")
     return math.prod(a.alpha for a in alphas)
+
+
+def violates_product_bound(pq: float, pa: float, c: float) -> bool:
+    """The violation rule: ||p||_[0,rho] = pq above c(1 + 1e-9) times
+    ||p||_A = pa.  A ratio r = pq / pa is checked as (r, 1.0, c)."""
+    return pq > c * pa * (1.0 + 1e-9)
 
 
 def verify_product_remez(
@@ -267,8 +270,7 @@ def verify_product_remez(
             continue
         ratio = pq / pa
         ratios.append(ratio)
-        if ratio > c * (1.0 + 1e-9):
-            violations += 1
+        violations += violates_product_bound(ratio, 1.0, c)
     return ProductCheckReport(samples=len(ratios), violations=violations,
                               c=c, ratios=tuple(ratios))
 
@@ -321,8 +323,7 @@ def inequality_chain_report(
         for g in set_grids:
             pa = float(np.max(np.abs(eval_product(P, g.as_array()))))
             checks += 1
-            if pq > c * pa * (1.0 + 1e-9):
-                norm_bad += 1
+            norm_bad += violates_product_bound(pq, pa, c)
     return ChainReport(checks=checks, measure_violations=measure_bad,
                        norm_violations=norm_bad)
 
@@ -379,11 +380,13 @@ def product_approx_search(
     the fixed factors, min over p_j of max |f - g * p_j| is a linear
     minimax in p_j's coefficients (weighted basis g(x) x^lambda) and is
     solved by LP.  Points where g vanishes stay in as constraints bounding
-    |f| there; no division by g ever happens.  The error is always the
-    residual max |f - prod p_j| of the current factors: an LP never raises
-    it, a dead-product perturbation can.  best_error_by_round is the
-    running best over all rounds so far of all restarts, so it is
-    nonincreasing, and its last entry is the residual of `best`.
+    |f| there; no division by g ever happens.  An LP answer is kept when
+    the LP's error does not rise (if equal, only with new coefficients); a
+    dead-product perturbation can raise the error.  Each round reports the
+    residual max |f - prod p_j| of its factors, multiplied as eval_product
+    does, not the LP's error.  best_error_by_round is the running best
+    over all rounds so far of all restarts, so it is nonincreasing, and its
+    last entry is the residual of `best`, bit for bit.
 
     A restart stops at its fixed point.  Factor j's LP input depends only on
     the other k - 1 factors (f is fixed).  Once the k - 1 subproblems before
@@ -451,10 +454,11 @@ def product_approx_search(
                     F[j] = V[j] @ c_new
                     cur = err
                     idle = 0
-            low = min(low, cur)
+            now = residual()
+            low = min(low, now)
             best_by_round[t] = min(best_by_round[t], low)
-            if cur < best_err:
-                best_err = cur
+            if now < best_err:
+                best_err = now
                 best_coeffs = [c.copy() for c in coeffs]
 
     factors = tuple(

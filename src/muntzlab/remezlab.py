@@ -24,13 +24,9 @@ DENSITY_TOL = 1e-10  # relative certificate gap of each best approximation
 
 @dataclass(frozen=True)
 class RemezConstantEstimate:
-    n: int
-    s: float
-    rho: float
     c_value: float
     attaining_query: float
     attaining_set: int  # index into the set family
-    mesh: float
 
 
 @dataclass(frozen=True)
@@ -107,16 +103,13 @@ def remez_constant_estimate(
     ys = np.linspace(0.0, rho, QUERY_POINTS)
     best = (-np.inf, 0.0, 0)
     for idx, A in enumerate(family):
-        for res in growth_sweep(exps, discretize(A, mesh), ys):
+        for y, res in zip(ys, growth_sweep(exps, discretize(A, mesh), ys)):
             # ties: the first maximizing set in family order, then its
             # smallest query (the loop is family-major, and strict > keeps
             # the earliest maximizer)
             if res.value > best[0]:
-                best = (res.value, res.query, idx)
-    return RemezConstantEstimate(
-        n=n, s=s, rho=rho, c_value=best[0], attaining_query=best[1],
-        attaining_set=best[2], mesh=mesh,
-    )
+                best = (res.value, float(y), idx)
+    return RemezConstantEstimate(*best)
 
 
 def remez_trend(
@@ -133,8 +126,10 @@ def remez_trend(
 
 
 def growth_ratios(trend) -> list[tuple[int, float]]:
-    """(n, c_{n+1}/c_n) pairs from a remez_trend output."""
-    return [(e0.n, e1.c_value / e0.c_value) for e0, e1 in zip(trend, trend[1:])]
+    """(n, c_{n+1}/c_n) pairs from a remez_trend output, whose entry n is
+    the estimate for dimension index n."""
+    return [(n, e1.c_value / e0.c_value)
+            for n, (e0, e1) in enumerate(zip(trend, trend[1:]))]
 
 
 TARGETS = {

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muntzlab import cli
+from muntzlab import cli, products, remezlab
 from muntzlab.cli import main
+from muntzlab.exponents import arithmetic, squares
+from muntzlab.sets import union_from_json
 
 CLASSICAL_CFG = {"n_list": [1, 2], "s_list": [0.5], "mesh": 1e-3}
 
@@ -168,6 +170,42 @@ def test_products_alpha_command(tmp_path):
     assert "seed=5" in lines[0]
     assert lines[1] == "j,n,s,k,alpha,samples"
     assert len(lines) == 4
+
+
+def read_rows(tmp_path, command, cfg, seed=0):
+    """The data rows of one run, each a list of its fields."""
+    out = tmp_path / "out.csv"
+    assert run_main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out), "--seed", str(seed)]) == 0
+    return [line.split(",") for line in out.read_text().splitlines()[2:]]
+
+
+def test_config_columns_are_the_config_and_the_rest_the_records(tmp_path):
+    # the records carry only what was computed; the runner writes n, s,
+    # rho, mesh, j and k from the config and its loop
+    family = [{"intervals": [[0.6, 0.7], [0.8, 0.95]]},
+              {"fat_cantor": {"level": 2, "carrier": [0.5, 1.0]}}]
+    cfg = {"sequence": {"kind": {"arithmetic": 1.0}}, "n_max": 4, "s": 0.25,
+           "rho": 0.5, "mesh": 1e-2, "family": family}
+    rows = read_rows(tmp_path, "remez-constant", cfg)
+    assert len(rows) == 5
+    sets = [union_from_json(A) for A in family]
+    for n, row in enumerate(rows):
+        est = remezlab.remez_constant_estimate(arithmetic(1.0), n, 0.25, 0.5,
+                                               sets, 1e-2)
+        assert row == [str(n), "0.25", "0.5", str(est.attaining_set),
+                       repr(est.attaining_query), "0.01", repr(est.c_value)]
+    assert {row[3] for row in rows} == {"0", "1"}  # both sets attain
+
+    cfg = {"task": "alpha", "sequences": [{"kind": "squares"},
+                                          {"kind": {"arithmetic": 1.0}}],
+           "n": 3, "s": 0.25, "k": 2, "budget": 5, "mesh": 1e-2}
+    rows = read_rows(tmp_path, "products", cfg, seed=5)
+    for j, (seq, row) in enumerate(zip([squares(), arithmetic(1.0)], rows,
+                                       strict=True)):
+        est = products.estimate_alpha(seq, 3, 0.25, 2, 5, 5, 1e-2, j=j)
+        assert row == [str(j), "3", "0.25", "2", repr(est.alpha),
+                       str(est.sample_count)]
 
 
 def test_products_verify_command(tmp_path):
