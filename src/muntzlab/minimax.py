@@ -5,11 +5,11 @@ Two solvers share one orthonormalization front end:
 * best_uniform_approx - discrete Remez exchange on a grid, returning an
   equioscillation certificate (alternating reference points plus a
   de-la-Vallee-Poussin lower bound).
-* growth_functional   - the extremal growth
+* growth_sweep        - the extremal growth
   sup { |p(y)| : |p| <= 1 on the constraint grid } of a span with
-  exponent 0: 1 at a grid point; otherwise one exchange per sign pattern
-  of the extremal on the grid (_growth_lp), which finishes in 60 digits
-  for every query inside the constraint hull.
+  exponent 0, for each query y: 1 at a grid point; otherwise one exchange
+  per sign pattern of the extremal on the grid (_growth_lp), which
+  finishes in 60 digits for every query inside the constraint hull.
 
 The discrete minimax LP (min over b of max |f - Q b|, on which the
 exchange falls back and which the product search solves) is answered by
@@ -42,7 +42,6 @@ evaluated basis and maps coefficients back at the end.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from operator import mul
@@ -54,7 +53,7 @@ from muntzlab.errors import ConditioningError, ConfigError, ConvergenceError
 from muntzlab.muntzeval import MuntzPolynomial, basis_matrix, check_exponents
 from muntzlab.sets import Grid
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-10  # relative certificate gap of a best approximation
 MAX_EXCHANGES = 200
 RANK_TOL = 1e-14
 SET_CHEBYSHEV_TOL = 1e-10  # slack on sup-norm 1 that ends the exchange
@@ -77,12 +76,11 @@ class GrowthResult:
 
 
 def chebyshev_T(n: int, x: float) -> float:
-    """Degree-n Chebyshev polynomial: cos form on [-1,1], three-term
-    recurrence outside (stable there, unlike acos continuation)."""
+    """Degree-n Chebyshev polynomial by the three-term recurrence, which
+    is stable for the x >= 1 that the classical bound takes (unlike acos
+    continuation)."""
     if n < 0:
         raise ConfigError("degree must be nonnegative")
-    if abs(x) <= 1.0:
-        return float(math.cos(n * math.acos(x)))
     t_prev, t_cur = 1.0, float(x)
     if n == 0:
         return t_prev
@@ -230,6 +228,8 @@ def best_uniform_approx(
     solved exactly by discrete_minimax_lp and the certificate is rebuilt
     from the LP residual; ConvergenceError is raised if that certificate
     lacks dimension+1 alternating points or its relative gap exceeds tol.
+    The package always takes the default tol; it stays a parameter for
+    the certify step of perfbench/library.py, which passes it explicitly.
     """
     exps = check_exponents(exponents)
     x = grid.as_array()
@@ -293,11 +293,6 @@ def best_uniform_approx(
         certified_lower_bound=lower,
         relative_gap=gap,
     )
-
-
-def growth_functional(exponents, constraint: Grid, query: float) -> GrowthResult:
-    """sup { |p(query)| : p in span, |p| <= 1 on the constraint grid }."""
-    return growth_sweep(exponents, constraint, [query])[0]
 
 
 def _set_chebyshev(Q: np.ndarray, t: np.ndarray):
@@ -380,7 +375,7 @@ def _decimal_solve(A: list[list[Decimal]], b: list[Decimal]) -> list[Decimal]:
 
 
 def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
-                      start: list[int] | None = None):
+                      start: list[int] | None):
     """High-precision variant of _set_chebyshev working directly in the
     monomial basis: `rows` are the grid rows and `qrows` the query rows of
     _decimal_rows.
@@ -394,7 +389,7 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
     column order, as sum(map(mul, row, a)) would.
 
     The exchange starts from the reference `start` (the one the double
-    exchange stopped on), or by default from an even spread.  Returns
+    exchange stopped on), or from an even spread when it is None.  Returns
     (values at queries, extremal coefficients); ConvergenceError when the
     exchange stops without a certificate.
     """
@@ -418,7 +413,7 @@ def _set_chebyshev_mp(rows: np.ndarray, qrows: np.ndarray, t: np.ndarray,
     return values, coeffs
 
 
-def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, exact: bool, finish):
+def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, finish):
     """The growth LP, max q . b subject to -1 <= Q b <= 1, for each query
     row q of one group, by exchange (Stiefel 1960: the simplex method on
     this LP).  The Lagrange functions of a Chebyshev system change sign at
@@ -427,22 +422,22 @@ def _growth_lp(Q: np.ndarray, R: np.ndarray, q, t: np.ndarray, exact: bool, fini
     the group shares the sign pattern t, 1 outside the constraint hull and
     +1 below y, -1 above it inside.  After _set_chebyshev(Q, t),
     finish(t, start), the 60-digit exchange from its reference, answers
-    when `exact` or when the double exchange fails or a value exceeds
-    MP_VALUE_THRESHOLD.  Returns (values, coefficients) on either route:
-    the double answer b is mapped back through R, V = Q R.
+    inside the hull (t ends on -1), or when the double exchange fails or a
+    value exceeds MP_VALUE_THRESHOLD.  Returns (values, coefficients) on
+    either route: the double answer b is mapped back through R, V = Q R.
     """
     b, ref, failure = _set_chebyshev(Q, t)
     values = [abs(float(row @ b)) for row in q]
-    if exact or failure is not None or max(values) > MP_VALUE_THRESHOLD:
+    if t[-1] < 0 or failure is not None or max(values) > MP_VALUE_THRESHOLD:
         return finish(t, ref)
     return values, np.linalg.solve(R, b)
 
 
 def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
-    """growth_functional over many query points.  Growth is defined on
-    spans that contain the constant, as the Muntz spaces
-    0 = lambda_0 < lambda_1 < ... do: exponents without 0 are a
-    ConfigError, raised before any basis is built.
+    """sup { |p(y)| : p in span, |p| <= 1 on the constraint grid } for
+    each query y.  Growth is defined on spans that contain the constant,
+    as the Muntz spaces 0 = lambda_0 < lambda_1 < ... do: exponents
+    without 0 are a ConfigError, raised before any basis is built.
 
     A grid point has value 1, attained by the constant.  Other queries are
     grouped by the sign pattern of their extremal, and one _growth_lp
@@ -488,8 +483,7 @@ def growth_sweep(exponents, constraint: Grid, queries) -> list[GrowthResult]:
                                      start)
 
         t = np.where(np.arange(N) < split, 1.0, -1.0)
-        values, coeffs = _growth_lp(Q, R, Qall[N:][group], t, split != N,
-                                    finish)
+        values, coeffs = _growth_lp(Q, R, Qall[N:][group], t, finish)
         p = extremal(coeffs)
         for i, v in zip(group, values):
             answers[i] = (v, p)
@@ -500,7 +494,7 @@ MINIMAX_CERT_RTOL = 1e-12  # max |r| over the dual bound h that certifies
 MINIMAX_WEIGHT_TOL = 1e-12  # dual weights (of sum 1) at most this are 0
 
 
-def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
+def _stiefel(Q: np.ndarray, f: np.ndarray, start):
     """Stiefel's exchange for min over b of max |f - Q b|: the simplex
     method on the dual LP
 
@@ -520,12 +514,13 @@ def _stiefel(Q: np.ndarray, f: np.ndarray, start=None):
     as a cycle.
 
     Starts from the reference `start` (row indices), or from k + 1 evenly
-    spread rows.  The reference is kept sorted, the signs permuted along,
-    so a step's system depends on its set of rows and their signs alone:
-    started from the reference of its own answer, the exchange solves
-    that answer's system again and returns the same bits.  It stops when
-    max |r| <= h (1 + MINIMAX_CERT_RTOL) on every row: h is a lower bound
-    on the optimum by weak duality, so b is optimal to that tolerance.
+    spread rows when it is None or does not fit Q.  The reference is kept
+    sorted, the signs permuted along, so a step's system depends on its
+    set of rows and their signs alone: started from the reference of its
+    own answer, the exchange solves that answer's system again and
+    returns the same bits.  It stops when max |r| <= h (1 +
+    MINIMAX_CERT_RTOL) on every row: h is a lower bound on the optimum by
+    weak duality, so b is optimal to that tolerance.
     Every step factors its matrix afresh: one LU solve gives (b, h) and
     the inverse.  Returns (ref, b) of that step, ref a sorted tuple, or
     None when the exchange fails: a singular reference, a solution that is

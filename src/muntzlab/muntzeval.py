@@ -26,7 +26,12 @@ class MuntzPolynomial:
             finite_number(c, "coefficient")
 
     def __call__(self, x):
-        return evaluate(self, x)
+        """Value(s) of p at scalar or array x in [0, 1]."""
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN too
+            raise ConfigError("evaluation points must lie in [0, 1]")
+        vals = basis_matrix(arr, self.exponents) @ np.asarray(self.coefficients)
+        return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 
 def check_exponents(exponents) -> tuple[float, ...]:
@@ -52,11 +57,3 @@ def basis_matrix(x, exponents) -> np.ndarray:
     return np.power(np.asarray(x, dtype=float)[:, None],
                     np.asarray(exponents, dtype=float)[None, :])
 
-
-def evaluate(p: MuntzPolynomial, x):
-    """Value(s) of p at scalar or array x in [0, 1]."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN too
-        raise ConfigError("evaluation points must lie in [0, 1]")
-    vals = basis_matrix(arr, p.exponents) @ np.asarray(p.coefficients)
-    return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals

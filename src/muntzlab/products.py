@@ -14,7 +14,7 @@ from muntzlab.errors import ConfigError, UnboundedGrowthError
 from muntzlab.exponents import ExponentSequence, truncate
 from muntzlab.minimax import discrete_minimax_lp, growth_sweep, orthonormalize
 from muntzlab.muntzeval import MuntzPolynomial, basis_matrix
-from muntzlab.remezlab import QUERY_POINTS, default_set_family
+from muntzlab.remezlab import default_set_family, query_grid
 from muntzlab.sets import Grid, discretize, fat_cantor, normalize
 
 ALPHA_Y_POINTS = 16  # y grid on [0, 1 - s] for alpha estimation
@@ -38,7 +38,8 @@ class ProductPolynomial:
     factors: tuple[MuntzPolynomial, ...]
 
     def __call__(self, x):
-        return eval_product(self, x)
+        """The product of the factors' values at scalar or array x in [0, 1]."""
+        return math.prod(p(x) for p in self.factors)
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,6 @@ class MonomialWitness:
 class SearchReport:
     best_error_by_round: tuple[float, ...]
     best: ProductPolynomial
-
-
-def eval_product(P: ProductPolynomial, x):
-    """The product of the factors' values at scalar or array x in [0, 1]."""
-    return math.prod(p(x) for p in P.factors)
 
 
 def _cells(y: float, mesh: float) -> tuple[np.ndarray, float]:
@@ -126,7 +122,7 @@ def draw_alpha_samples(
     samples = sample_factors(exps, budget, rng, mesh)
     grid = discretize(normalize([[1.0 - s, 1.0]]), mesh)
     samples.append(growth_sweep(exps, grid, [0.0])[0].extremal)
-    return [p for p in samples if max(abs(c) for c in p.coefficients) > 0]
+    return samples
 
 
 def _cell_values(exps, y: float, mesh: float):
@@ -257,15 +253,15 @@ def verify_product_remez(
         sample_factors(truncate(seq, n), budget, np.random.default_rng([seed, 100 + j]), mesh)
         for j, seq in enumerate(spec.sequences)
     ]
-    ys = np.linspace(0.0, rho, QUERY_POINTS)
+    ys = query_grid(rho)
     violations = 0
     ratios = []
     for i in range(budget):
         P = ProductPolynomial(tuple(per_factor[j][i] for j in range(spec.k)))
         A = _random_admissible_set(rng, s, rho, i)
         gridA = discretize(A, mesh)
-        pa = float(np.max(np.abs(eval_product(P, gridA.as_array()))))
-        pq = float(np.max(np.abs(eval_product(P, ys))))
+        pa = float(np.max(np.abs(P(gridA.as_array()))))
+        pq = float(np.max(np.abs(P(ys))))
         if pa == 0.0:
             continue
         ratio = pq / pa
@@ -306,7 +302,7 @@ def inequality_chain_report(
     checks = 0
     measure_bad = 0
     norm_bad = 0
-    query_grid = np.linspace(0.0, rho, QUERY_POINTS)
+    queries = query_grid(rho)
     for i in range(n_products):
         factors = tuple(families[j][i] for j in range(spec.k))
         P = ProductPolynomial(factors)
@@ -319,9 +315,9 @@ def inequality_chain_report(
             checks += 1
             if inter < 1.0 - y - s / 2.0 - 1e-12:
                 measure_bad += 1
-        pq = float(np.max(np.abs(eval_product(P, query_grid))))
+        pq = float(np.max(np.abs(P(queries))))
         for g in set_grids:
-            pa = float(np.max(np.abs(eval_product(P, g.as_array()))))
+            pa = float(np.max(np.abs(P(g.as_array()))))
             checks += 1
             norm_bad += violates_product_bound(pq, pa, c)
     return ChainReport(checks=checks, measure_violations=measure_bad,
@@ -360,7 +356,7 @@ def monomial_in_H4(n: int, grid: Grid) -> MonomialWitness:
     ))
     x = grid.as_array()
     direct = basis_matrix(x, [float(n)])[:, 0]
-    dev = float(np.max(np.abs(eval_product(factors, x) - direct)))
+    dev = float(np.max(np.abs(factors(x) - direct)))
     return MonomialWitness(factors=factors, decomposition=(a, b, c, d),
                            max_abs_deviation=dev)
 
@@ -383,10 +379,11 @@ def product_approx_search(
     |f| there; no division by g ever happens.  An LP answer is kept when
     the LP's error does not rise (if equal, only with new coefficients); a
     dead-product perturbation can raise the error.  Each round reports the
-    residual max |f - prod p_j| of its factors, multiplied as eval_product
-    does, not the LP's error.  best_error_by_round is the running best
-    over all rounds so far of all restarts, so it is nonincreasing, and its
-    last entry is the residual of `best`, bit for bit.
+    residual max |f - prod p_j| of its factors, multiplied as a
+    ProductPolynomial multiplies them, not the LP's error.
+    best_error_by_round is the running best over all rounds so far of all
+    restarts, so it is nonincreasing, and its last entry is the residual
+    of `best`, bit for bit.
 
     A restart stops at its fixed point.  Factor j's LP input depends only on
     the other k - 1 factors (f is fixed).  Once the k - 1 subproblems before

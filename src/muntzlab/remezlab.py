@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from muntzlab.errors import ConfigError
+from muntzlab.errors import ConfigError, finite_number
 from muntzlab.exponents import ExponentSequence, truncate
 from muntzlab.minimax import (
     EquioscillationResult,
@@ -19,7 +19,6 @@ from muntzlab.minimax import (
 from muntzlab.sets import IntervalUnion, discretize, fat_cantor, normalize
 
 QUERY_POINTS = 33  # uniform query grid on [0, rho], 0 always included
-DENSITY_TOL = 1e-10  # relative certificate gap of each best approximation
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,11 @@ def _check_family(family, s: float, rho: float) -> None:
             raise ConfigError(f"family set has measure {A.measure()} < s")
 
 
+def query_grid(rho: float) -> np.ndarray:
+    """The queries of [0, rho] on which ||p||_[0,rho] is read."""
+    return np.linspace(0.0, rho, QUERY_POINTS)
+
+
 def remez_constant_estimate(
     seq: ExponentSequence,
     n: int,
@@ -100,7 +104,7 @@ def remez_constant_estimate(
     family = tuple(family)
     _check_family(family, s, rho)
     exps = truncate(seq, n)
-    ys = np.linspace(0.0, rho, QUERY_POINTS)
+    ys = query_grid(rho)
     best = (-np.inf, 0.0, 0)
     for idx, A in enumerate(family):
         for y, res in zip(ys, growth_sweep(exps, discretize(A, mesh), ys)):
@@ -139,7 +143,10 @@ TARGETS = {
 
 
 def named_target(name: str):
-    """Built-in targets: abs2x1, runge, monomial(m)."""
+    """Built-in targets: abs2x1, runge, monomial(m) with m finite and
+    >= 0."""
+    if not isinstance(name, str):
+        raise ConfigError(f"target must be a name, not {name!r}")
     if name in TARGETS:
         return TARGETS[name]
     if name.startswith("monomial(") and name.endswith(")"):
@@ -148,14 +155,14 @@ def named_target(name: str):
         except ValueError:
             raise ConfigError(
                 f"monomial exponent must be a number: {name!r}") from None
-        if not m >= 0:
+        if finite_number(m, "monomial exponent") < 0:
             raise ConfigError("monomial exponent must be >= 0")
         return lambda x: np.asarray(x, dtype=float) ** m
     raise ConfigError(f"unknown target {name!r}")
 
 
 def density_probe(
-    target,
+    target: str,
     seq: ExponentSequence,
     A: IntervalUnion,
     n_list,
@@ -163,12 +170,10 @@ def density_probe(
 ) -> DensityProbeResult:
     """Best-approximation errors E_n(f) on A for nested truncations of the
     sequence; the decay/plateau of the curve probes density in C[A].
-
-    `target` is a callable on [0,1] or a built-in target name.
-    """
+    `target` is a built-in target name (named_target)."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-    fn = named_target(target) if isinstance(target, str) else target
+    fn = named_target(target)
     # Measure-zero components are irrelevant to the density question, so
     # degenerate singletons are dropped before discretizing.
     solid = [[a, b] for a, b in A.intervals if b > a]
@@ -179,7 +184,6 @@ def density_probe(
     errors = []
     for n in n_list:
         res: EquioscillationResult = best_uniform_approx(
-            f, grid, truncate(seq, n), tol=DENSITY_TOL
-        )
+            f, grid, truncate(seq, n))
         errors.append((int(n), res.error))
     return DensityProbeResult(errors_by_n=tuple(errors))

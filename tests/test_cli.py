@@ -309,6 +309,20 @@ def test_density_bad_field_is_config_error(tmp_path, capsys, field, value):
     assert_one_line_config_error(capsys, cfg, "density")
 
 
+def test_density_monomial_exponent_must_be_finite(tmp_path, capsys):
+    # x ** inf is a step on [0, 1], not a monomial, and 1e400 reads as inf;
+    # a finite exponent keeps its errors
+    for target in ("monomial(inf)", "monomial(1e400)"):
+        cfg = write_cfg(tmp_path, dict(DENSITY_CFG, target=target))
+        assert_one_line_config_error(capsys, cfg, "density")
+    cfg = write_cfg(tmp_path, dict(DENSITY_CFG, target="monomial(2.5)"))
+    out = tmp_path / "d.csv"
+    assert run_main(["density", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == [
+        "monomial(2.5),2,0.01,0.014793925437845135",
+        "monomial(2.5),4,0.01,0.00024902153912054886"]
+
+
 def test_console_entry_point():
     # the installed script and `python -m` both work end to end
     proc = subprocess.run(

@@ -14,7 +14,6 @@ from muntzlab.products import (
     ProductSpaceSpec,
     draw_alpha_samples,
     estimate_alpha,
-    eval_product,
     four_squares,
     inequality_chain_report,
     monomial_in_H4,
@@ -32,7 +31,7 @@ def test_eval_product():
         MuntzPolynomial((2.0,), (1.0,)),
     ))
     x = np.linspace(0, 1, 11)
-    assert eval_product(P, x) == pytest.approx(x ** 3)
+    assert P(x) == pytest.approx(x ** 3)
     assert P(0.5) == pytest.approx(0.125)
 
 
@@ -51,7 +50,7 @@ def test_eval_product_is_the_product_of_the_factors():
         return vals
 
     x = np.linspace(0.0, 1.0, 257)
-    assert eval_product(P, x).tobytes() == loop(x).tobytes()
+    assert P(x).tobytes() == loop(x).tobytes()
     assert P(0.5) == float(loop(np.array([0.5]))[0])
 
 
@@ -271,7 +270,7 @@ def test_search_trace_nonincreasing_and_deterministic():
     # x^4 * 1 lies in the product space, so the search can reach ~0
     assert trace[-1] <= 1e-8
     # reported best factors reproduce the reported error
-    got = np.max(np.abs(f - eval_product(rep1.best, x)))
+    got = np.max(np.abs(f - rep1.best(x)))
     assert got == pytest.approx(trace[-1], abs=1e-12)
 
 
@@ -396,7 +395,7 @@ def test_search_stops_each_restart_at_its_fixed_point(monkeypatch, search):
     # to the bit
     assert rep.best_error_by_round[-1] == last
     assert rep.best_error_by_round[-1] == np.max(
-        np.abs(f - eval_product(rep.best, x)))
+        np.abs(f - rep.best(x)))
     # no dead product here, so oracle LP i is restart i // per_restart.
     # Each restart of the search poses the first LPs of the oracle's same
     # restart, and stops where every later oracle input repeats the one k
@@ -468,7 +467,7 @@ def test_search_reports_the_residual_of_its_factors(k, target, seed, n):
     spec = ProductSpaceSpec(tuple(squares() for _ in range(k)))
     rep = product_approx_search(f, g, spec, n, rounds=6, seed=seed, restarts=3)
     trace = rep.best_error_by_round
-    assert trace[-1] == np.max(np.abs(f - eval_product(rep.best, x)))
+    assert trace[-1] == np.max(np.abs(f - rep.best(x)))
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 

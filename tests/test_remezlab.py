@@ -125,6 +125,19 @@ def test_named_targets():
         named_target("nope")
     with pytest.raises(ConfigError):
         named_target("monomial(-1)")
+    # x ** inf is a step, not a monomial; 1e400 reads as inf
+    for name in ("monomial(inf)", "monomial(1e400)", "monomial(nan)"):
+        with pytest.raises(ConfigError, match="exponent must be finite"):
+            named_target(name)
+
+
+def test_a_target_is_a_name():
+    # a callable, or anything else that is not a string, is a ConfigError
+    # before any grid is built
+    for target in (lambda x: x ** 3, None, 2.0):
+        with pytest.raises(ConfigError, match="target must be a name"):
+            density_probe(target, arithmetic(1.0), normalize([[0.0, 1.0]]),
+                          [3], 1e-2)
 
 
 def test_density_probe_errors_decrease_for_dense_sequence():
@@ -160,12 +173,6 @@ def test_density_probe_input_validation():
         density_probe("abs2x1", seq, normalize([[0.0, 1.0]]), [4, 2], 1e-2)
     with pytest.raises(ConfigError):
         density_probe("abs2x1", seq, normalize([[0.3, 0.3]]), [2], 1e-2)
-
-
-def test_density_probe_accepts_callable():
-    res = density_probe(lambda x: x ** 3, arithmetic(1.0),
-                        normalize([[0.0, 1.0]]), [3], 1e-2)
-    assert res.errors_by_n[0][1] <= 1e-9  # x^3 lies in the span
 
 
 def test_remez_constant_singular_mp_system_is_a_conditioning_error():
