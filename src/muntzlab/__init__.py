@@ -1,17 +1,1 @@
 """Numerical laboratory for Muntz spaces and Remez-type inequalities."""
-
-from muntzlab.exponents import ExponentSequence, arithmetic, squares, explicit
-from muntzlab.sets import IntervalUnion, Grid, fat_cantor, discretize
-from muntzlab.muntzeval import MuntzPolynomial
-
-__all__ = [
-    "ExponentSequence",
-    "arithmetic",
-    "squares",
-    "explicit",
-    "IntervalUnion",
-    "Grid",
-    "fat_cantor",
-    "discretize",
-    "MuntzPolynomial",
-]

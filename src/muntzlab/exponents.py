@@ -34,20 +34,6 @@ class ExponentSequence:
         else:
             raise ConfigError(f"unknown sequence kind {self.kind!r}")
 
-    def exponent(self, i: int) -> float:
-        if i < 0:
-            raise ConfigError("index must be nonnegative")
-        if self.kind == "arithmetic":
-            return self.step * i
-        if self.kind == "squares":
-            return float(i * i)
-        if i >= len(self.values):
-            raise ConfigError(
-                f"index {i} out of range for explicit sequence of length "
-                f"{len(self.values)}"
-            )
-        return self.values[i]
-
 
 def arithmetic(step: float) -> ExponentSequence:
     return ExponentSequence("arithmetic",
@@ -68,10 +54,20 @@ def explicit(values) -> ExponentSequence:
 
 
 def truncate(seq: ExponentSequence, n: int) -> list[float]:
-    """Finite slice [l_0, ..., l_n] of the sequence."""
+    """Finite slice [l_0, ..., l_n] of the sequence; ConfigError for n < 0
+    or an explicit sequence shorter than n + 1."""
     if n < 0:
         raise ConfigError("n must be nonnegative")
-    return [seq.exponent(i) for i in range(n + 1)]
+    if seq.kind == "arithmetic":
+        return [seq.step * i for i in range(n + 1)]
+    if seq.kind == "squares":
+        return [float(i * i) for i in range(n + 1)]
+    if n >= len(seq.values):
+        raise ConfigError(
+            f"index {n} out of range for explicit sequence of length "
+            f"{len(seq.values)}"
+        )
+    return list(seq.values[:n + 1])
 
 
 def sequence_from_json(obj: dict) -> ExponentSequence:

@@ -330,8 +330,9 @@ def _decimal_rows(x: np.ndarray, exps) -> np.ndarray:
     """The basis x^e of the points x at MP_DIGITS digits: an N x m object
     array of Decimal, with 0^0 = 1 and 0^e = 0.
 
-    It is built a whole column at a time, the exponents taken in increasing
-    order: x^e_j = x^e_{j-1} * x^(e_j - e_{j-1}).  A gap of 1 costs one
+    It is built a whole column at a time, the exponents taken in their
+    order, which check_exponents makes increasing:
+    x^e_j = x^e_{j-1} * x^(e_j - e_{j-1}).  A gap of 1 costs one
     multiply per point, an integer gap k one x ** k, and a non-integer gap
     one power through exp and ln per point; a gap equal to the one before
     reuses its powers.
@@ -342,14 +343,14 @@ def _decimal_rows(x: np.ndarray, exps) -> np.ndarray:
     with localcontext(Context(prec=MP_DIGITS)):
         col = np.full(len(ds), Decimal(1), dtype=object)
         last, gap_before = Decimal(0), None
-        for j in sorted(range(len(exps)), key=lambda j: exps[j]):
-            gap = Decimal(exps[j]) - last
-            if gap:  # 0^0 = 1: a repeated exponent repeats its column
+        for j, e in enumerate(exps):
+            gap = Decimal(e) - last
+            if gap:  # zero only at the leading exponent 0: 0^0 = 1
                 if gap != gap_before:
                     k = int(gap) if gap == gap.to_integral_value() else gap
                     step, gap_before = ds if k == 1 else np.power(ds, k), gap
                 col = col * step
-            rows[:, j], last = col, Decimal(exps[j])
+            rows[:, j], last = col, Decimal(e)
     return rows
 
 

@@ -67,7 +67,6 @@ class ChainReport:
 
 @dataclass(frozen=True)
 class MonomialWitness:
-    factors: ProductPolynomial
     decomposition: tuple[int, int, int, int]
     max_abs_deviation: float
 
@@ -109,7 +108,7 @@ def draw_alpha_samples(
     budget: int,
     seed: int,
     mesh: float,
-    j: int = 0,
+    j: int,
 ) -> list[MuntzPolynomial]:
     """The deterministic sample family behind estimate_alpha: `budget`
     random span elements plus the growth extremal at the query 0 for the
@@ -174,7 +173,7 @@ def estimate_alpha(
     budget: int,
     seed: int,
     mesh: float,
-    j: int = 0,
+    j: int,
 ) -> AlphaEstimate:
     """Empirical per-factor constant: the smallest float alpha >= 1 such
     that every sampled span element p and every y on a grid of [0, 1-s]
@@ -351,14 +350,13 @@ def monomial_in_H4(n: int, grid: Grid) -> MonomialWitness:
     """x^n as a product of four square-exponent monomials, with the
     floating-point deviation of the evaluated product from x^n."""
     a, b, c, d = four_squares(n)
-    factors = ProductPolynomial(tuple(
+    product = ProductPolynomial(tuple(
         MuntzPolynomial((float(t * t),), (1.0,)) for t in (a, b, c, d)
     ))
     x = grid.as_array()
     direct = basis_matrix(x, [float(n)])[:, 0]
-    dev = float(np.max(np.abs(factors(x) - direct)))
-    return MonomialWitness(factors=factors, decomposition=(a, b, c, d),
-                           max_abs_deviation=dev)
+    dev = float(np.max(np.abs(product(x) - direct)))
+    return MonomialWitness(decomposition=(a, b, c, d), max_abs_deviation=dev)
 
 
 def product_approx_search(
@@ -368,7 +366,7 @@ def product_approx_search(
     n: int,
     rounds: int,
     seed: int,
-    restarts: int = 1,
+    restarts: int,
 ) -> SearchReport:
     """Coordinate descent for min over products of max_grid |f - prod p_j|.
 

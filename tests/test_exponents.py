@@ -37,8 +37,9 @@ def test_explicit_validation():
 
 def test_explicit_out_of_range_index():
     seq = explicit([0.0, 1.0])
-    with pytest.raises(ConfigError):
-        seq.exponent(2)
+    assert truncate(seq, 1) == [0.0, 1.0]
+    with pytest.raises(ConfigError, match="index 2 out of range"):
+        truncate(seq, 2)
 
 
 SEQUENCES = [arithmetic(0.5), squares(), explicit([0, 1, 4.5])]

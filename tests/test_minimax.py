@@ -363,6 +363,49 @@ def test_lp_fallback_certifies_every_corpus_case(monkeypatch):
         assert res.error == pytest.approx(err, rel=1e-9)
 
 
+def squares_on_solid_fat_cantor_4(n):
+    # fat_cantor(4) without its singletons at mesh 1e-2: 80 points
+    solid = [[a, b] for a, b in fat_cantor(4).intervals if b > a]
+    g = discretize(normalize(solid), 1e-2)
+    assert len(g) == 80
+    return np.abs(2 * g.as_array() - 1), g, truncate(squares(), n)
+
+
+def test_stalled_exchange_on_a_real_input_is_answered_by_one_lp(monkeypatch):
+    # with nothing patched, the double exchange stalls here ("13 of 18
+    # alternating extrema"), and the LP fallback certifies the optimum to a
+    # relative gap of 1.2e-13, within 2.2e-16 of the LP on the raw basis
+    f, g, exps = squares_on_solid_fat_cantor_4(16)
+    failures, lps = [], []
+    real_exchange, real_lp = minimax._exchange, minimax.discrete_minimax_lp
+
+    def exchange(*args, **kwargs):
+        out = real_exchange(*args, **kwargs)
+        failures.append(out[2])
+        return out
+
+    monkeypatch.setattr(minimax, "_exchange", exchange)
+    monkeypatch.setattr(minimax, "discrete_minimax_lp",
+                        lambda B, f: lps.append(1) or real_lp(B, f))
+    res = best_uniform_approx(f, g, exps)
+    assert len(failures) == 1 and "13 of 18 alternating extrema" in failures[0]
+    assert len(lps) == 1
+    assert len(res.reference_points) == len(exps) + 1
+    assert res.relative_gap <= minimax.DEFAULT_TOL
+    _, want, _ = discrete_minimax_lp(basis_matrix(g.as_array(), exps), f)
+    assert res.error == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+    "ROADMAP item 14: the exchange stalls with 19 of 21 alternating extrema "
+    "and the LP's residual has 20, at a relative gap of 9.88e-09"))
+def test_lp_fallback_certifies_squares_at_n_19_on_a_real_input():
+    f, g, exps = squares_on_solid_fat_cantor_4(19)
+    res = best_uniform_approx(f, g, exps)
+    assert len(res.reference_points) == len(exps) + 1
+    assert res.relative_gap <= minimax.DEFAULT_TOL
+
+
 def test_best_approx_input_validation():
     g = unit_grid(0.5)
     with pytest.raises(ConfigError):
@@ -597,6 +640,26 @@ def test_growth_large_values_match_chebyshev():
     res = growth_sweep(list(range(n + 1)), g, [0.0])[0]
     assert res.value > 1e8  # exercises the high-precision branch
     assert res.value == pytest.approx(chebyshev_T(n, 7.0), rel=1e-3)
+
+
+# the excess bounds sit above the largest relative excess measured over
+# these cases: 1.77e-3 at mesh 1e-3 (arithmetic(0.5)) and 2.57e-5 at mesh
+# 1e-4 (arithmetic(2)); the lowest ratio measured is 1 - 1.24e-13 (mesh
+# 1e-4, arithmetic(0.5), n = 1)
+@pytest.mark.parametrize("mesh, excess", [(1e-3, 2e-3), (1e-4, 3e-5)])
+def test_arithmetic_growth_on_the_end_interval_matches_chebyshev(mesh, excess):
+    # span{x^(k alpha) : k <= n} is the polynomials of degree n in
+    # u = x^alpha, and [0.75, 1] maps onto [a, 1] with a = 0.75^alpha, so
+    # the growth at 0 is T_n((1 + a) / (1 - a)); a grid constrains less than
+    # the interval, so its value is at least that.  arithmetic(0.5) at
+    # n = 12 raises ConditioningError on both grids (ROADMAP items 5, 19).
+    g = discretize(normalize([[0.75, 1.0]]), mesh)
+    for alpha, top in ((0.5, 11), (2.0, 12), (3.0, 12)):
+        a = 0.75 ** alpha
+        for n in range(1, top + 1):
+            value = growth_sweep(truncate(arithmetic(alpha), n), g, [0.0])[0].value
+            closed = chebyshev_T(n, (1 + a) / (1 - a))
+            assert closed * (1 - 1e-12) <= value <= closed * (1 + excess)
 
 
 def test_growth_sweep_survives_cycling_double_exchange():

@@ -2,7 +2,8 @@
 class and constant of src/muntzlab/, and each public method of its
 classes, is used by the package itself or by the acceptance criteria.  A name that only the other tests reach is API
 that no program path needs.  Every field of a record (a dataclass or a
-NamedTuple of the package) has a reader too."""
+NamedTuple of the package) has a reader too, and every default of a
+parameter has a program call that leaves the parameter to it."""
 
 import ast
 from pathlib import Path
@@ -112,6 +113,68 @@ def show(r, p):
     assert attribute_reads(records) == {"dataclass", "NamedTuple", "x", "total"}
 
 
+def defaulted_parameters(source: str) -> list[tuple[str, int | None, str]]:
+    """(function, position, parameter) for each parameter with a default of
+    the functions that `source` defines, at any depth.  The position is
+    that of the call's positional arguments (a method's self is not one),
+    and None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = (args.posonlyargs + args.args)[id(node) in methods:]
+        for pos in range(len(params) - len(args.defaults), len(params)):
+            out.append((node.name, pos, params[pos].arg))
+        out += [(node.name, None, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def calls(source: str) -> list[tuple[str, ast.Call]]:
+    """(name, call) for each call in `source` of a bare name or an
+    attribute."""
+    return [(node.func.id if isinstance(node.func, ast.Name) else node.func.attr, node)
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))]
+
+
+def omits(call: ast.Call, pos: int | None, param: str) -> bool:
+    """Whether `call` may leave the parameter `param` at position `pos` to
+    its default.  A call with *args or **kwargs may, whatever they hold."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return True
+    if any(k.arg == param for k in call.keywords):
+        return False
+    return pos is None or len(call.args) <= pos
+
+
+def test_default_collectors():
+    source = '''
+def f(a, b=1, *, c=2, d):
+    def inner(e=3):
+        pass
+class Shape:
+    def scale(self, by=1.0):
+        pass
+f(0, 1, c=3, d=4)
+shape.scale(by=2.0)
+f(*args)
+'''
+    assert defaulted_parameters(source) == [
+        ("f", 1, "b"), ("f", None, "c"), ("inner", 0, "e"), ("scale", 0, "by")]
+    (_, full), (_, scale), (_, star) = calls(source)
+    assert not omits(full, 1, "b") and not omits(full, None, "c")
+    assert not omits(scale, 0, "by")
+    assert omits(star, 1, "b") and omits(star, None, "c")
+    (_, short), = calls("f(0, d=4)")
+    assert omits(short, 1, "b") and omits(short, None, "c")
+
+
 def program_uses() -> tuple[list[Path], set[str]]:
     """The package's modules, and the names that they and the criteria
     read."""
@@ -144,7 +207,9 @@ def test_every_record_field_has_a_reader():
     alone, so a field that shares its name with an attribute read elsewhere
     passes: the CLI reads its config namespace as c.sequence, c.set,
     c.target and c.restarts, which would have hidden echo fields of those
-    names on the result records.  Such a field is found only by hand."""
+    names on the result records.  Such a field is found only by hand:
+    MonomialWitness.factors, which nothing read, passed here because
+    ProductPolynomial.factors is read."""
     modules = sorted(PACKAGE.glob("*.py"))
     read = set()
     for path in [*modules, CRITERIA, *sorted(BENCHMARK.glob("*.py"))]:
@@ -153,3 +218,22 @@ def test_every_record_field_has_a_reader():
               for field in record_fields(path.read_text())
               if field.split(".")[1] not in read]
     assert unread == []
+
+
+def test_every_default_has_a_program_caller():
+    """Each default of a parameter of a function in the package is used:
+    some call in the package, the criteria or perfbench/ leaves the
+    parameter out, so a default that only tests rely on is caught (the
+    sequence index j of estimate_alpha and draw_alpha_samples went for
+    that).  Calls match by function name alone, and a call with *args or
+    **kwargs counts as leaving every parameter out: perfbench passes
+    product_approx_search its arguments as **NEWMAN, so this test could not
+    have caught restarts=1, which went by reading its callers."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    program = [call for path in [*modules, CRITERIA, *sorted(BENCHMARK.glob("*.py"))]
+               for call in calls(path.read_text())]
+    unused = [f"{path.stem}.{name}({param}=)" for path in modules
+              for name, pos, param in defaulted_parameters(path.read_text())
+              if not any(called == name and omits(call, pos, param)
+                         for called, call in program)]
+    assert unused == []
